@@ -54,7 +54,7 @@ int main()
         for (const PortfolioEngine& e :
              PortfolioSolver::defaultEngines(params.hqsNodeLimit)) {
             Timer t;
-            const SolveResult r = e.run(enc.formula, Deadline::in(params.timeoutSeconds));
+            const SolveResult r = e.run(enc.formula, Deadline::in(params.timeoutSeconds), nullptr);
             const double ms = t.elapsedMilliseconds();
             soloTimes.emplace_back(e.name, ms);
             if (isConclusive(r) && (bestName.empty() || ms < bestMs)) {

@@ -21,8 +21,7 @@
 #include "src/cert/extract.hpp"
 #include "src/obs/metrics.hpp"
 #include "src/obs/report.hpp"
-#include "src/runtime/portfolio.hpp"
-#include "src/strategy/spec.hpp"
+#include "src/runtime/execute.hpp"
 
 using namespace hqs;
 using namespace hqs::bench;
@@ -68,12 +67,8 @@ void certifyInstance(const InstanceSpec& spec, const SuiteParams& params,
     inst.certified = true;
     inst.certExtractMs = extract.elapsedMilliseconds();
 
-    cert::Certificate parsed;
-    std::string detail;
-    cert::CheckResult check;
-    check.status = cert::parseCertificateString(text, parsed, detail);
-    if (check.status == cert::CheckStatus::Ok)
-        check = cert::checkCertificate(parsed, Deadline::in(params.timeoutSeconds));
+    const cert::CheckResult check =
+        cert::checkCertificateText(text, Deadline::in(params.timeoutSeconds));
     inst.certValid = check.ok();
     inst.certCheckMs = check.checkMs;
     inst.certSizeNodes = check.sizeNodes;
@@ -97,14 +92,12 @@ void raceFamilies(const InstanceSpec& spec, const SuiteParams& params,
 {
     const std::size_t pressureLimit = std::max<std::size_t>(256, params.hqsNodeLimit / 128);
     PecEncoding enc = encodePec(makeInstance(spec.family, spec.width, spec.realizable));
-    PortfolioOptions popts;
-    popts.deadline = Deadline::in(params.timeoutSeconds);
-    popts.nodeLimit = pressureLimit;
-    popts.engines = PortfolioSolver::enginesFromSpec(strategy::defaultStrategySpec(),
-                                                     pressureLimit);
-    PortfolioSolver solver(popts);
-    solver.solve(enc.formula);
-    const PortfolioStats& st = solver.stats();
+    api::SolveRequest request;
+    request.engine = "portfolio";
+    request.nodeLimit = pressureLimit;
+    const api::ExecuteOutcome run =
+        api::execute(request, enc.formula, Deadline::in(params.timeoutSeconds));
+    const PortfolioStats& st = std::get<PortfolioStats>(run.stats);
     if (!st.winnerFamily.empty()) {
         inst.portfolioWinnerFamily = st.winnerFamily;
         ++familyWins[st.winnerFamily];

@@ -148,11 +148,7 @@ int main(int argc, char** argv)
     opts.nodeLimit = request.nodeLimit;
     opts.rssLimitBytes = request.rssLimitBytes;
     opts.certify = request.certify;
-    if (const api::EngineSpec spec = *request.parsedEngine();
-        spec.kind == api::EngineSpec::Kind::Portfolio) {
-        opts.portfolio = true;
-        opts.portfolioEngines = spec.portfolioEngines;
-    }
+    opts.engine = *request.parsedEngine();
     if (!strategyPath.empty()) {
         strategy::StrategySpec spec;
         std::vector<strategy::SpecError> errors;

@@ -17,7 +17,6 @@
 //                        still counts as a verdict)
 //   --cache=on|off|bypass
 //                        per-request result-cache override header/field
-//                        (--cache-control= still accepted, deprecated)
 //   --format=NAME        dqdimacs | dqcir ("" = server content sniff)
 //   --session            JSONL protocol v2 session mode: each connection
 //                        opens one session on the formula (after a {"v":2}
@@ -140,10 +139,6 @@ int main(int argc, char** argv)
             useSession = true;
         } else if (arg.rfind("--assume=", 0) == 0) {
             assume = val("--assume=");
-        } else if (arg.rfind("--cache-control=", 0) == 0) {
-            // Single-release shim for the pre-v2 flag spelling.
-            std::cerr << "dqbf_client: --cache-control= is deprecated, use --cache=\n";
-            request.cacheControl = val("--cache-control=");
         } else if (api::applyCliRequestFlag(request, arg, &flagProblem)) {
             // Solver-request flags (--timeout-ms, --rss-limit-mb, --engine,
             // --certify, --cache, --strategy, --format) come from the same

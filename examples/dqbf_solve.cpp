@@ -30,7 +30,7 @@
 //   --skolem=FILE         additionally dump the reconstructed functions as
 //                         ASCII AIGER (aag) to FILE
 //   --certify=FILE        write a self-contained certificate artifact to
-//                         FILE on SAT (hqs and portfolio engines); the
+//                         FILE on SAT (hqs, cegar and portfolio engines); the
 //                         artifact is self-checked through the independent
 //                         parser+checker before it is reported
 //   --rss-limit=MB        guard the run with an RSS watchdog: cooperative
@@ -64,20 +64,12 @@
 
 #include "src/aig/aiger.hpp"
 #include "src/cache/result_cache.hpp"
-#include "src/cegar/cegar_solver.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
 #include "src/cnf/dimacs.hpp"
-#include "src/dqbf/dqbf_oracle.hpp"
-#include "src/dqbf/hqs_solver.hpp"
-#include "src/dqbf/skolem_recorder.hpp"
-#include "src/idq/idq_solver.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
-#include "src/runtime/api.hpp"
-#include "src/runtime/guard.hpp"
-#include "src/runtime/portfolio.hpp"
+#include "src/runtime/execute.hpp"
 #include "src/strategy/spec.hpp"
 
 using namespace hqs;
@@ -96,23 +88,6 @@ int usage()
     return 1;
 }
 
-/// Round-trip a serialized certificate through the independent parser and
-/// checker — the same code path dqbf_check runs, so "VALID" here means the
-/// artifact would be accepted downstream.
-cert::CheckResult selfCheck(const std::string& text)
-{
-    cert::Certificate reparsed;
-    std::string detail;
-    const cert::CheckStatus parsed = cert::parseCertificateString(text, reparsed, detail);
-    if (parsed != cert::CheckStatus::Ok) {
-        cert::CheckResult res;
-        res.status = parsed;
-        res.detail = std::move(detail);
-        return res;
-    }
-    return cert::checkCertificate(reparsed);
-}
-
 } // namespace
 
 int main(int argc, char** argv)
@@ -127,7 +102,8 @@ int main(int argc, char** argv)
     std::string certifyPath;
     std::string strategyPath;
     std::string cacheDir;
-    HqsOptions opts;
+    bool skolem = false;
+    HqsOptions opts; ///< HQS tuning handed to api::execute
 
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -158,11 +134,11 @@ int main(int argc, char** argv)
                 return usage();
             }
         } else if (arg == "--skolem") {
-            opts.computeSkolem = true;
+            skolem = true;
         } else if (arg.rfind("--skolem=", 0) == 0) {
             skolemPath = arg.substr(9);
             if (skolemPath.empty()) return usage();
-            opts.computeSkolem = true;
+            skolem = true;
         } else if (arg.rfind("--certify=", 0) == 0) {
             certifyPath = arg.substr(10);
             if (certifyPath.empty()) return usage();
@@ -195,11 +171,8 @@ int main(int argc, char** argv)
         return usage();
     }
     const api::EngineSpec spec = *request.parsedEngine();
-    // Certification needs the Skolem-recording elimination run.
-    if (request.certify) opts.computeSkolem = true;
     const bool wantStats = request.stats;
     const std::string& path = request.source;
-    if (request.timeoutSeconds > 0) opts.deadline = Deadline::in(request.timeoutSeconds);
 
     std::optional<strategy::StrategySpec> strategySpec;
     if (!strategyPath.empty()) {
@@ -289,7 +262,7 @@ int main(int argc, char** argv)
                     switch (cache::vetCachedCertificate(*entry, certHash)) {
                         case cache::CertReuse::Served: {
                             const cert::CheckResult check =
-                                selfCheck(entry->certificate);
+                                cert::checkCertificateText(entry->certificate);
                             std::ofstream out(certifyPath);
                             if (out) {
                                 std::cout << "c cache               : hit ("
@@ -348,55 +321,46 @@ int main(int argc, char** argv)
     // in a local scope, so the `c stat` lines describe this instance alone.
     obs::MetricScope metricScope;
 
-    SolveResult result = SolveResult::Unknown;
-    FailureInfo failure;
-    Timer solveTimer;
-    std::string cacheEngineName = request.engine;
-    std::string cacheCertText;
-    // Every engine call runs guarded: exceptions become a structured
-    // `c failure` line, and --rss-limit arms the cooperative-memout
-    // watchdog.
+    // --skolem asks the Skolem-producing engines for a certificate as well.
+    api::SolveRequest execRequest = request;
+    if (skolem && (spec.kind == api::EngineSpec::Kind::Hqs ||
+                   spec.kind == api::EngineSpec::Kind::Cegar))
+        execRequest.certify = true;
+    // The engine runs guarded: exceptions become a structured `c failure`
+    // line, and --rss-limit arms the cooperative-memout watchdog.
     GuardOptions gopts;
-    gopts.deadline = opts.deadline;
+    if (request.timeoutSeconds > 0) gopts.deadline = Deadline::in(request.timeoutSeconds);
     gopts.rssLimitBytes = request.rssLimitBytes;
-    auto guarded = [&](const std::function<SolveResult(const Deadline&)>& body) {
-        const GuardedOutcome out = runGuarded(gopts, body);
-        failure = out.failure;
-        return out.result;
-    };
-    if (spec.kind == api::EngineSpec::Kind::Hqs || spec.kind == api::EngineSpec::Kind::HqsBdd) {
-        if (spec.kind == api::EngineSpec::Kind::HqsBdd)
-            opts.backend = HqsOptions::Backend::BddElimination;
-        const DqbfFormula original = formula; // kept for certificate checks
-        std::optional<HqsSolver> solverSlot;
-        result = guarded([&](const Deadline& dl) {
-            HqsOptions runOpts = opts;
-            runOpts.deadline = dl;
-            solverSlot.emplace(runOpts);
-            return solverSlot->solve(std::move(formula));
-        });
-        if (!solverSlot) solverSlot.emplace(opts); // body died before construction
-        HqsSolver& solver = *solverSlot;
-        if (opts.computeSkolem && result == SolveResult::Sat &&
-            solver.skolemCertificate()) {
-            // Production certification path: extract the certificate, then
-            // judge it through the independent serializer/parser/checker —
-            // exactly what dqbf_check would see.
-            const cert::Certificate certificate =
-                cert::extractCertificate(original, *solver.skolemCertificate());
-            const std::string artifact = cert::toCertificateString(certificate);
-            cacheCertText = artifact;
-            const cert::CheckResult check = selfCheck(artifact);
-            if (!check.ok()) OBS_COUNT("cert.selfcheck_fail", 1);
-            std::cout << "c skolem certificate  : " << certificate.functions.size()
-                      << " functions, independently checked: "
-                      << (check.ok() ? std::string("VALID")
-                                     : "INVALID (" + std::string(cert::toString(check.status)) +
-                                           (check.detail.empty() ? "" : ": " + check.detail) +
-                                           ")")
-                      << "\n";
-            const std::vector<Var>& ys = original.existentials();
-            for (std::size_t k = 0; k < ys.size(); ++k) {
+    Timer solveTimer;
+    api::ExecuteOutcome run;
+    const GuardedOutcome guarded = runGuarded(gopts, [&](const Deadline& dl) {
+        run = api::execute(execRequest, formula, dl, opts,
+                           strategySpec ? &*strategySpec : nullptr);
+        return run.result;
+    });
+    const SolveResult result = guarded.result;
+    const FailureInfo failure = guarded.failure ? guarded.failure : run.failure;
+
+    std::cout << "c engine              : " << (run.engine.empty() ? "(none)" : run.engine)
+              << "\n";
+    if (!run.certificate.empty()) {
+        // Judge the artifact through the independent parser and checker —
+        // exactly what dqbf_check would see.
+        const cert::CheckResult check = cert::checkCertificateText(run.certificate);
+        if (!check.ok()) OBS_COUNT("cert.selfcheck_fail", 1);
+        std::cout << "c skolem certificate  : " << check.sizeNodes
+                  << " AIG nodes from " << run.engine << ", independently checked: "
+                  << (check.ok() ? std::string("VALID")
+                                 : "INVALID (" + std::string(cert::toString(check.status)) +
+                                       (check.detail.empty() ? "" : ": " + check.detail) +
+                                       ")")
+                  << "\n";
+        cert::Certificate certificate;
+        std::string detail;
+        if (skolem && cert::parseCertificateString(run.certificate, certificate, detail) ==
+                          cert::CheckStatus::Ok) {
+            const std::vector<Var>& ys = formula.existentials();
+            for (std::size_t k = 0; k < ys.size() && k < certificate.functions.size(); ++k) {
                 const AigEdge fn = certificate.functions[k];
                 std::cout << "c   s_" << (ys[k] + 1) << " : "
                           << certificate.aig->coneSize(fn) << " AIG nodes over";
@@ -412,91 +376,53 @@ int main(int argc, char** argv)
                     std::cerr << "cannot write skolem file: " << skolemPath << "\n";
                 }
             }
-            if (!certifyPath.empty()) {
-                std::ofstream out(certifyPath);
-                if (out) {
-                    out << artifact;
-                    std::cout << "c certificate         : " << artifact.size()
-                              << " bytes, "
-                              << cert::countAndNodes(*certificate.aig,
-                                                     certificate.functions)
-                              << " AIG nodes, self-check "
-                              << (check.ok() ? "ok" : "FAILED") << " -> " << certifyPath
-                              << "\n";
-                } else {
-                    std::cerr << "cannot write certificate file: " << certifyPath << "\n";
-                }
+        }
+        if (!certifyPath.empty()) {
+            std::ofstream out(certifyPath);
+            if (out) {
+                out << run.certificate;
+                std::cout << "c certificate         : " << run.certificate.size()
+                          << " bytes, self-check " << (check.ok() ? "ok" : "FAILED")
+                          << " -> " << certifyPath << "\n";
+            } else {
+                std::cerr << "cannot write certificate file: " << certifyPath << "\n";
             }
         }
-        if (wantStats) {
-            const HqsStats& st = solver.stats();
-            std::cout << "c decided by          : " << st.decidedBy << "\n"
-                      << "c preprocessing       : " << st.preprocess.unitsPropagated
-                      << " units, " << st.preprocess.universalLiteralsReduced
-                      << " universal reductions, " << st.preprocess.equivalencesSubstituted
-                      << " equivalences, " << st.preprocess.gatesDetected << " gates\n"
-                      << "c incomparable pairs  : " << st.incomparablePairs << "\n"
-                      << "c selected universals : " << st.selectedUniversals << " (MaxSAT "
-                      << st.maxsatMilliseconds << " ms)\n"
-                      << "c eliminations        : " << st.universalsEliminated
-                      << " universal (Thm 1), " << st.existentialsEliminated
-                      << " existential (Thm 2), " << st.unitEliminations << " unit + "
-                      << st.pureEliminations << " pure (Thm 5/6, "
-                      << st.unitPureMilliseconds << " ms)\n"
-                      << "c existential copies  : " << st.copiesIntroduced << "\n"
-                      << "c peak AIG nodes      : " << st.peakConeSize << "\n"
-                      << "c total time          : " << st.totalMilliseconds << " ms\n";
-        }
-    } else if (spec.kind == api::EngineSpec::Kind::Expand) {
-        if (formula.universals().size() > 22) {
-            std::cerr << "expand: too many universals ("
-                      << formula.universals().size() << " > 22)\n";
-            return 1;
-        }
-        result = guarded(
-            [&](const Deadline& dl) { return expansionDqbf(formula, dl); });
-    } else if (spec.kind == api::EngineSpec::Kind::Portfolio) {
-        std::optional<PortfolioSolver> solverSlot;
-        result = guarded([&](const Deadline& dl) {
-            PortfolioOptions popts = PortfolioSolver::optionsFromRequest(request);
-            popts.deadline = dl; // the guard owns the timeout
-            if (strategySpec) {
-                popts.engines = PortfolioSolver::enginesFromSpec(*strategySpec,
-                                                                 popts.nodeLimit);
-                popts.strategyName = strategySpec->name;
-            }
-            solverSlot.emplace(std::move(popts));
-            return solverSlot->solve(formula);
-        });
-        if (!solverSlot) solverSlot.emplace();
-        PortfolioSolver& solver = *solverSlot;
-        if (solver.stats().failure && !failure) failure = solver.stats().failure;
-        const PortfolioStats& st = solver.stats();
-        if (!st.winnerName.empty()) cacheEngineName = st.winnerName;
-        cacheCertText = st.winnerCertificate;
-        std::cout << "c portfolio winner    : "
-                  << (st.winnerName.empty() ? "(none)" : st.winnerName) << "\n";
-        if (request.certify && result == SolveResult::Sat) {
-            if (!st.winnerCertificate.empty() && !certifyPath.empty()) {
-                const cert::CheckResult check = selfCheck(st.winnerCertificate);
-                if (!check.ok()) OBS_COUNT("cert.selfcheck_fail", 1);
-                std::ofstream out(certifyPath);
-                if (out) {
-                    out << st.winnerCertificate;
-                    std::cout << "c certificate         : " << st.winnerCertificate.size()
-                              << " bytes from " << st.winnerName << ", self-check "
-                              << (check.ok() ? "ok" : "FAILED") << " -> " << certifyPath
-                              << "\n";
-                } else {
-                    std::cerr << "cannot write certificate file: " << certifyPath << "\n";
-                }
-            } else if (st.winnerCertificate.empty()) {
-                std::cout << "c certificate         : unavailable (winning engine "
-                             "cannot certify)\n";
-            }
-        }
-        if (wantStats) {
-            for (const EngineRunStats& es : st.engines) {
+    } else if (request.certify && result == SolveResult::Sat) {
+        std::cout << "c certificate         : unavailable (winning engine cannot "
+                     "certify)\n";
+    }
+
+    if (wantStats) {
+        if (const auto* st = std::get_if<HqsStats>(&run.stats)) {
+            std::cout << "c decided by          : " << st->decidedBy << "\n"
+                      << "c preprocessing       : " << st->preprocess.unitsPropagated
+                      << " units, " << st->preprocess.universalLiteralsReduced
+                      << " universal reductions, " << st->preprocess.equivalencesSubstituted
+                      << " equivalences, " << st->preprocess.gatesDetected << " gates\n"
+                      << "c incomparable pairs  : " << st->incomparablePairs << "\n"
+                      << "c selected universals : " << st->selectedUniversals << " (MaxSAT "
+                      << st->maxsatMilliseconds << " ms)\n"
+                      << "c eliminations        : " << st->universalsEliminated
+                      << " universal (Thm 1), " << st->existentialsEliminated
+                      << " existential (Thm 2), " << st->unitEliminations << " unit + "
+                      << st->pureEliminations << " pure (Thm 5/6, "
+                      << st->unitPureMilliseconds << " ms)\n"
+                      << "c existential copies  : " << st->copiesIntroduced << "\n"
+                      << "c peak AIG nodes      : " << st->peakConeSize << "\n"
+                      << "c total time          : " << st->totalMilliseconds << " ms\n";
+        } else if (const auto* st = std::get_if<CegarStats>(&run.stats)) {
+            std::cout << "c refinements         : " << st->refinements << "\n"
+                      << "c rules learned       : " << st->rulesLearned << "\n"
+                      << "c counterexamples     : " << st->counterexamples << "\n"
+                      << "c abstraction vars    : " << st->abstractionVars << "\n";
+        } else if (const auto* st = std::get_if<IdqStats>(&run.stats)) {
+            std::cout << "c iterations          : " << st->iterations << "\n"
+                      << "c instantiations      : " << st->instantiations << "\n"
+                      << "c ground clauses      : " << st->groundClauses << "\n"
+                      << "c existential copies  : " << st->existentialCopies << "\n";
+        } else if (const auto* st = std::get_if<PortfolioStats>(&run.stats)) {
+            for (const EngineRunStats& es : st->engines) {
                 std::cout << "c engine " << es.name << " : " << toString(es.result)
                           << " in " << es.elapsedMilliseconds << " ms";
                 if (es.winner) {
@@ -509,86 +435,9 @@ int main(int argc, char** argv)
                     std::cout << "  (cert-check " << es.certCheck << ")";
                 std::cout << "\n";
             }
-            std::cout << "c total time          : " << st.totalMilliseconds << " ms\n";
-            if (st.disagreement)
+            std::cout << "c total time          : " << st->totalMilliseconds << " ms\n";
+            if (st->disagreement)
                 std::cout << "c WARNING             : engines disagreed on the verdict\n";
-        }
-    } else if (spec.kind == api::EngineSpec::Kind::Cegar) {
-        std::optional<CegarSolver> solverSlot;
-        result = guarded([&](const Deadline& dl) {
-            CegarOptions copts;
-            copts.deadline = dl;
-            copts.computeSkolem = opts.computeSkolem;
-            solverSlot.emplace(copts);
-            return solverSlot->solve(formula);
-        });
-        if (!solverSlot) solverSlot.emplace();
-        CegarSolver& solver = *solverSlot;
-        if (opts.computeSkolem && result == SolveResult::Sat &&
-            solver.skolemCertificate()) {
-            // Same production certification path as the hqs engine, fed by
-            // the learned decision lists instead of an elimination trace.
-            const cert::Certificate certificate =
-                cert::extractCertificate(formula, *solver.skolemCertificate());
-            const std::string artifact = cert::toCertificateString(certificate);
-            cacheCertText = artifact;
-            const cert::CheckResult check = selfCheck(artifact);
-            if (!check.ok()) OBS_COUNT("cert.selfcheck_fail", 1);
-            std::cout << "c skolem certificate  : " << certificate.functions.size()
-                      << " functions, independently checked: "
-                      << (check.ok() ? std::string("VALID")
-                                     : "INVALID (" + std::string(cert::toString(check.status)) +
-                                           (check.detail.empty() ? "" : ": " + check.detail) +
-                                           ")")
-                      << "\n";
-            if (!skolemPath.empty()) {
-                std::ofstream out(skolemPath);
-                if (out) {
-                    writeAiger(out, *certificate.aig, certificate.functions);
-                    std::cout << "c skolem aag          : " << skolemPath << "\n";
-                } else {
-                    std::cerr << "cannot write skolem file: " << skolemPath << "\n";
-                }
-            }
-            if (!certifyPath.empty()) {
-                std::ofstream out(certifyPath);
-                if (out) {
-                    out << artifact;
-                    std::cout << "c certificate         : " << artifact.size()
-                              << " bytes, "
-                              << cert::countAndNodes(*certificate.aig,
-                                                     certificate.functions)
-                              << " AIG nodes, self-check "
-                              << (check.ok() ? "ok" : "FAILED") << " -> " << certifyPath
-                              << "\n";
-                } else {
-                    std::cerr << "cannot write certificate file: " << certifyPath << "\n";
-                }
-            }
-        }
-        if (wantStats) {
-            const CegarStats& st = solver.stats();
-            std::cout << "c refinements         : " << st.refinements << "\n"
-                      << "c rules learned       : " << st.rulesLearned << "\n"
-                      << "c counterexamples     : " << st.counterexamples << "\n"
-                      << "c abstraction vars    : " << st.abstractionVars << "\n";
-        }
-    } else {
-        std::optional<IdqSolver> solverSlot;
-        result = guarded([&](const Deadline& dl) {
-            IdqOptions iopts;
-            iopts.deadline = dl;
-            solverSlot.emplace(iopts);
-            return solverSlot->solve(formula);
-        });
-        if (!solverSlot) solverSlot.emplace();
-        IdqSolver& solver = *solverSlot;
-        if (wantStats) {
-            const IdqStats& st = solver.stats();
-            std::cout << "c iterations          : " << st.iterations << "\n"
-                      << "c instantiations      : " << st.instantiations << "\n"
-                      << "c ground clauses      : " << st.groundClauses << "\n"
-                      << "c existential copies  : " << st.existentialCopies << "\n";
         }
     }
 
@@ -612,10 +461,10 @@ int main(int argc, char** argv)
         try {
             cache::CacheEntry entry;
             entry.result = result;
-            entry.engine = cacheEngineName;
+            entry.engine = run.engine;
             entry.solveMilliseconds = solveTimer.elapsedMilliseconds();
             entry.certFormulaHash = certHash;
-            entry.certificate = cacheCertText;
+            entry.certificate = run.certificate;
             rcache->store(cacheKey, entry);
             std::cout << "c cache               : stored\n";
         } catch (const std::exception& e) {

@@ -299,44 +299,6 @@ std::uint64_t Aig::simulate(AigEdge root,
     return root.complemented() ? ~w : w;
 }
 
-AigEdge Aig::cofactorInto(Aig& dst, AigEdge root, Var v, bool value) const
-{
-    // Thread-safety contract: read-only on *this*, local scratch only (no
-    // trav_/stack_/opCache_/stats_), all mutation confined to dst.
-    const AigEdge image = value ? dst.constTrue() : dst.constFalse();
-    std::vector<AigEdge> result(nodes_.size(), AigEdge());
-    result[0] = dst.constFalse();
-    std::vector<std::uint32_t> stack{root.nodeIndex()};
-    while (!stack.empty()) {
-        const std::uint32_t idx = stack.back();
-        if (result[idx].isValid()) {
-            stack.pop_back();
-            continue;
-        }
-        const Node& n = nodes_[idx];
-        if (n.extVar != kNoVar) {
-            result[idx] = (n.extVar == v) ? image : dst.variable(n.extVar);
-            stack.pop_back();
-            continue;
-        }
-        const std::uint32_t i0 = n.fanin0.nodeIndex();
-        const std::uint32_t i1 = n.fanin1.nodeIndex();
-        if (!result[i0].isValid()) {
-            stack.push_back(i0);
-            continue;
-        }
-        if (!result[i1].isValid()) {
-            stack.push_back(i1);
-            continue;
-        }
-        const AigEdge a = result[i0] ^ n.fanin0.complemented();
-        const AigEdge b = result[i1] ^ n.fanin1.complemented();
-        result[idx] = dst.mkAnd(a, b);
-        stack.pop_back();
-    }
-    return result[root.nodeIndex()] ^ root.complemented();
-}
-
 AigEdge Aig::importCone(const Aig& src, AigEdge root)
 {
     std::vector<AigEdge> result(src.nodes_.size(), AigEdge());

@@ -29,10 +29,7 @@
 // and 64-way parallel simulation, the Theorem-6 syntactic unit/pure
 // detection (unit_pure.hpp), and a CNF bridge (cnf_bridge.hpp).
 //
-// Thread-safety: a manager is single-threaded, except for cofactorInto,
-// which is read-only on the source manager and uses only local scratch —
-// several threads may cofactor out of one frozen manager into private
-// destination managers concurrently (the Theorem-1 parallel path).
+// Thread-safety: a manager is single-threaded.
 #pragma once
 
 #include <algorithm>
@@ -198,9 +195,6 @@ public:
     AigEdge compose(AigEdge root, Var v, AigEdge g);
     /// Simultaneous substitution var -> function for every entry of @p sub.
     AigEdge substitute(AigEdge root, const Substitution& sub);
-    /// Deprecated map-based overload; builds a Substitution and forwards.
-    [[deprecated("pass a hqs::Substitution (see README migration note)")]]
-    AigEdge substitute(AigEdge root, const std::unordered_map<Var, AigEdge>& map);
     /// ∃v. phi  =  phi[0/v] | phi[1/v].
     AigEdge existsVar(AigEdge root, Var v);
     /// ∀v. phi  =  phi[0/v] & phi[1/v].
@@ -215,12 +209,7 @@ public:
         return scratchSub_;
     }
 
-    // ----- cross-manager rebuilds (parallel Theorem-1 path) -----------------
-    /// Rebuild the cone of @p root inside @p dst with @p v fixed to
-    /// @p value; inputs carry over by external variable.  Read-only on
-    /// *this* and allocation-local: several threads may call it on one
-    /// frozen source manager concurrently, each with a private @p dst.
-    AigEdge cofactorInto(Aig& dst, AigEdge root, Var v, bool value) const;
+    // ----- cross-manager rebuild --------------------------------------------
     /// Copy the cone of @p root from @p src into this manager (structural
     /// hashing deduplicates against existing nodes).
     AigEdge importCone(const Aig& src, AigEdge root);

@@ -168,15 +168,6 @@ AigEdge Aig::substitute(AigEdge root, const Substitution& sub)
     });
 }
 
-AigEdge Aig::substitute(AigEdge root, const std::unordered_map<Var, AigEdge>& map)
-{
-    // Deprecated compatibility shim: costs one Substitution build per call.
-    if (map.empty() || isConstant(root)) return root;
-    Substitution sub;
-    for (const auto& [v, g] : map) sub.set(v, g);
-    return substitute(root, sub);
-}
-
 AigEdge Aig::cofactor(AigEdge root, Var v, bool value)
 {
     if (!hasVariable(v)) return root;

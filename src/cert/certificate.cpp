@@ -300,6 +300,15 @@ CheckStatus parseCertificateFile(const std::string& path, Certificate& out,
     return parseCertificate(is, out, detail);
 }
 
+CheckResult checkCertificateText(const std::string& text, Deadline deadline)
+{
+    Certificate parsed;
+    CheckResult res;
+    res.status = parseCertificateString(text, parsed, res.detail);
+    if (res.status != CheckStatus::Ok) return res;
+    return checkCertificate(parsed, deadline);
+}
+
 std::size_t countAndNodes(const Aig& aig, const std::vector<AigEdge>& outputs)
 {
     std::unordered_set<std::uint32_t> seen;

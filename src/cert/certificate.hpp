@@ -107,6 +107,12 @@ struct CheckResult {
 CheckResult checkCertificate(const Certificate& cert,
                              Deadline deadline = Deadline::unlimited());
 
+/// Parse then check a serialized artifact: the one "is this text a valid
+/// certificate" call every front end makes.  A parse failure comes back
+/// as the result's status and detail.
+CheckResult checkCertificateText(const std::string& text,
+                                 Deadline deadline = Deadline::unlimited());
+
 /// AND nodes in the union of the cones of @p outputs (certificate size).
 std::size_t countAndNodes(const Aig& aig, const std::vector<AigEdge>& outputs);
 

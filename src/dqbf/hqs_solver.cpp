@@ -1,15 +1,12 @@
 #include "src/dqbf/hqs_solver.hpp"
 
 #include <algorithm>
-#include <condition_variable>
-#include <mutex>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "src/aig/cnf_bridge.hpp"
 #include "src/aig/fraig.hpp"
 #include "src/obs/obs.hpp"
-#include "src/runtime/thread_pool.hpp"
 #include "src/sat/sat_solver.hpp"
 #include "src/dqbf/dependency_graph.hpp"
 #include "src/qbf/bdd_qbf_solver.hpp"
@@ -373,73 +370,10 @@ SolveResult HqsSolver::solve(DqbfFormula f)
         {
             OBS_PHASE(unSpan, "hqs.elim_universal", "phase.elim_universal.us");
             const std::size_t nodesBefore = aig.numNodes();
-            const std::size_t cone = aig.coneSize(matrix);
-            AigEdge cof0, cof1;
-            bool built = false;
-            if (opts_.parallelCofactorNodes != 0 && cone >= opts_.parallelCofactorNodes) {
-                // Build the two cofactors concurrently: the manager is
-                // frozen while two cofactorInto traversals rebuild into
-                // private side managers (read-only on the source, local
-                // scratch), then both cones are imported back sequentially
-                // — structural hashing re-establishes sharing.  The helper
-                // pool is process-wide and never runs solves, so blocking
-                // on the future cannot deadlock a solve pool.
-                // Hand the result back through an explicit mutex/condvar
-                // slot rather than std::promise: libstdc++'s future-ready
-                // flag is an atomic futex that uninstrumented TSan builds
-                // cannot see, which turns this (correct) handoff into a
-                // false race report.
-                Aig side0, side1;
-                struct CofactorSlot {
-                    std::mutex mu;
-                    std::condition_variable ready;
-                    bool done = false;
-                    AigEdge result;
-                    std::exception_ptr error;
-                } slot;
-                const bool dispatched = ThreadPool::sharedHelperPool().submit([&] {
-                    AigEdge e;
-                    std::exception_ptr err;
-                    try {
-                        e = aig.cofactorInto(side1, matrix, pick, true);
-                    } catch (...) {
-                        err = std::current_exception();
-                    }
-                    std::lock_guard<std::mutex> lock(slot.mu);
-                    slot.result = e;
-                    slot.error = err;
-                    slot.done = true;
-                    slot.ready.notify_one();
-                });
-                if (dispatched) {
-                    auto awaitWorker = [&slot] {
-                        std::unique_lock<std::mutex> lock(slot.mu);
-                        slot.ready.wait(lock, [&slot] { return slot.done; });
-                    };
-                    AigEdge e0;
-                    try {
-                        e0 = aig.cofactorInto(side0, matrix, pick, false);
-                    } catch (...) {
-                        // The worker still holds references into this frame;
-                        // wait for it to resolve before unwinding.
-                        awaitWorker();
-                        throw;
-                    }
-                    awaitWorker();
-                    if (slot.error) std::rethrow_exception(slot.error);
-                    cof0 = aig.importCone(side0, e0);
-                    cof1 = aig.importCone(side1, slot.result);
-                    ++stats_.parallelCofactorBuilds;
-                    OBS_COUNT("hqs.elim.parallel_cofactor", 1);
-                    built = true;
-                }
-            }
-            if (!built) {
-                cof0 = aig.cofactor(matrix, pick, false);
-                if (opts_.deadline.expired())
-                    return finish(deadlineExceededResult(opts_.deadline), "elimination");
-                cof1 = aig.cofactor(matrix, pick, true);
-            }
+            const AigEdge cof0 = aig.cofactor(matrix, pick, false);
+            if (opts_.deadline.expired())
+                return finish(deadlineExceededResult(opts_.deadline), "elimination");
+            AigEdge cof1 = aig.cofactor(matrix, pick, true);
             if (opts_.deadline.expired()) return finish(deadlineExceededResult(opts_.deadline), "elimination");
             const std::vector<Var> supp1 = aig.support(cof1);
             const std::unordered_set<Var> supp1Set(supp1.begin(), supp1.end());

@@ -56,10 +56,6 @@ struct HqsOptions {
     /// if the reachable graph itself is over budget — a shrinking AIG with
     /// a large allocation history never trips it.
     std::size_t nodeLimit = 0;
-    /// Build the two Theorem-1 cofactors concurrently on the shared helper
-    /// pool when the matrix cone is at least this many AND nodes
-    /// (0 disables the parallel path).
-    std::size_t parallelCofactorNodes = 50000;
     Deadline deadline = Deadline::unlimited();
 
     /// Backend for the linearized QBF.  BddElimination converts the AIG
@@ -92,7 +88,6 @@ struct HqsStats {
 
     std::size_t peakConeSize = 0;
     std::size_t fraigRuns = 0;
-    std::size_t parallelCofactorBuilds = 0; ///< Theorem-1 pairs built on the pool
     double totalMilliseconds = 0.0;
 
     /// Snapshot of the AIG manager's kernel counters at the end of solve

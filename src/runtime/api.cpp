@@ -20,6 +20,14 @@ const char* toString(EngineSpec::Kind kind)
     return "?";
 }
 
+std::string toString(const EngineSpec& spec)
+{
+    std::string text = toString(spec.kind);
+    if (spec.kind == EngineSpec::Kind::Portfolio && spec.portfolioEngines != 0)
+        text += ":" + std::to_string(spec.portfolioEngines);
+    return text;
+}
+
 const char* engineFamily(EngineSpec::Kind kind)
 {
     switch (kind) {
@@ -296,57 +304,40 @@ bool applyAssume(SolveRequest& r, const std::string& text)
 
 const std::vector<RequestFieldSpec>& requestFields()
 {
-    // canonical (JSONL) | HTTP header | CLI stem | deprecated JSONL | deprecated HTTP
+    // canonical (JSONL) | HTTP header | CLI stem
     //
-    // "cache" replaces v1's "cache_control" field and "cache-control"
-    // header (the old header shadowed standard HTTP Cache-Control
-    // semantics; its v2 spelling is "solver-cache").  Session fields are
-    // JSONL-only: the stateful protocol lives on the line-oriented surface.
+    // The HTTP cache header is "solver-cache": a "cache-control" header
+    // would shadow standard HTTP Cache-Control semantics.  Session fields
+    // are JSONL-only: the stateful protocol lives on the line-oriented
+    // surface.
     static const std::vector<RequestFieldSpec> kFields = {
-        {"timeout_ms", "timeout-ms", "timeout-ms", "", "", &applyTimeoutMs},
-        {"rss_limit_mb", "rss-limit-mb", "rss-limit-mb", "", "", &applyRssLimitMb},
-        {"engine", "engine", "engine", "", "", &applyEngine},
-        {"certify", "certify", "certify", "", "", &applyCertify},
-        {"cache", "solver-cache", "cache", "cache_control", "cache-control",
-         &applyCache},
-        {"strategy", "strategy", "strategy", "", "", &applyStrategy},
-        {"format", "format", "format", "", "", &applyFormat},
-        {"op", "", "", "", "", &applyOp},
-        {"session", "", "", "", "", &applySession},
-        {"add_group", "", "", "", "", &applyAddGroup},
-        {"clauses", "", "", "", "", &applyClauses},
-        {"retract_group", "", "", "", "", &applyRetractGroup},
-        {"gate", "", "", "", "", &applyGate},
-        {"assume", "", "", "", "", &applyAssume},
+        {"timeout_ms", "timeout-ms", "timeout-ms", &applyTimeoutMs},
+        {"rss_limit_mb", "rss-limit-mb", "rss-limit-mb", &applyRssLimitMb},
+        {"engine", "engine", "engine", &applyEngine},
+        {"certify", "certify", "certify", &applyCertify},
+        {"cache", "solver-cache", "cache", &applyCache},
+        {"strategy", "strategy", "strategy", &applyStrategy},
+        {"format", "format", "format", &applyFormat},
+        {"op", "", "", &applyOp},
+        {"session", "", "", &applySession},
+        {"add_group", "", "", &applyAddGroup},
+        {"clauses", "", "", &applyClauses},
+        {"retract_group", "", "", &applyRetractGroup},
+        {"gate", "", "", &applyGate},
+        {"assume", "", "", &applyAssume},
     };
     return kFields;
 }
 
 std::string parseRequestFields(SolveRequest& out, RequestSurface surface,
-                               const FieldGetter& get,
-                               std::vector<FieldWarning>* warnings)
+                               const FieldGetter& get)
 {
     for (const RequestFieldSpec& spec : requestFields()) {
-        const char* name = spec.canonical;
-        const char* deprecated = spec.deprecatedJsonl;
-        if (surface == RequestSurface::Http) {
-            name = spec.http;
-            deprecated = spec.deprecatedHttp;
-        } else if (surface == RequestSurface::Cli) {
-            name = spec.cli;
-            deprecated = "";
-        }
+        const char* name = surface == RequestSurface::Http  ? spec.http
+                           : surface == RequestSurface::Cli ? spec.cli
+                                                            : spec.canonical;
         if (name[0] == '\0') continue;
-
-        std::optional<std::string> text = get(name);
-        if (!text && deprecated[0] != '\0') {
-            text = get(deprecated);
-            if (text && warnings) {
-                warnings->push_back({deprecated,
-                                     std::string("use ") + name + " instead"});
-            }
-            if (text) name = deprecated; // report problems under the used spelling
-        }
+        const std::optional<std::string> text = get(name);
         if (!text) continue;
         if (!spec.apply(out, *text))
             return std::string("malformed ") + name;

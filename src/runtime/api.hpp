@@ -13,9 +13,9 @@
 //     requests (non-finite or negative budgets, unknown engines) with
 //     structured, field-tagged errors every front end can render.
 //
-// Entry points construct a SolveRequest, call validate(), and only then
-// translate it into engine options (HqsOptions, PortfolioOptions,
-// GuardOptions...).  Nothing downstream of validate() re-checks budgets.
+// Entry points construct a SolveRequest, call validate(), and only then run
+// it (api::execute, execute.hpp).  Nothing downstream of validate()
+// re-checks budgets.
 #pragma once
 
 #include <cstddef>
@@ -43,6 +43,10 @@ struct EngineSpec {
 };
 
 const char* toString(EngineSpec::Kind kind);
+
+/// The engine text parseEngineSpec reads back: the kind's name, plus ":N"
+/// for a capped portfolio.
+std::string toString(const EngineSpec& spec);
 
 /// Coarse engine-family taxonomy for win/loss accounting: "elimination"
 /// (hqs, hqs-bdd — the paper's quantifier-elimination family),
@@ -115,14 +119,6 @@ struct SolveRequest {
     std::string firstError() const;
 };
 
-/// Outcome summary an entry point can render uniformly.
-struct SolveReport {
-    SolveResult result = SolveResult::Unknown;
-    std::string engine;          ///< engine (or portfolio winner) that decided
-    double wallMilliseconds = 0;
-    std::string failure;         ///< structured failure text; empty when clean
-};
-
 // ----- text -> value helpers (syntax only; validate() judges semantics) ----
 
 /// Full-string parses; false on trailing garbage, overflow, or empty text.
@@ -139,9 +135,7 @@ bool parseSize(const std::string& text, std::size_t* out);
 // HTTP headers, JSONL fields, and CLI flags historically each hand-rolled
 // the same field parsing; requestFields() is now the single table that
 // names every request field per surface and owns its text -> value
-// conversion, so spellings, types, and error messages cannot drift.  The
-// old per-path spellings survive one release as deprecated aliases that
-// still parse but tag the response with a field warning.
+// conversion, so spellings, types, and error messages cannot drift.
 
 /// Which ingress surface a request arrived on (selects field spellings).
 enum class RequestSurface { Http, Jsonl, Cli };
@@ -152,32 +146,21 @@ struct RequestFieldSpec {
     const char* canonical;       ///< v2 JSONL spelling — the field's identity
     const char* http;            ///< header name ("" = not exposed over HTTP)
     const char* cli;             ///< flag stem, used as "--<cli>=..." ("" = none)
-    const char* deprecatedJsonl; ///< pre-v2 JSONL alias ("" = none)
-    const char* deprecatedHttp;  ///< pre-v2 header alias ("" = none)
     /// Parse @p text into the request; false on malformed text.
     bool (*apply)(SolveRequest&, const std::string&);
 };
 
 const std::vector<RequestFieldSpec>& requestFields();
 
-/// A value arrived under a deprecated spelling; front ends surface these in
-/// the response (JSONL "deprecated":[...] array / HTTP Deprecation header).
-struct FieldWarning {
-    std::string field;   ///< the deprecated spelling the client used
-    std::string message; ///< "use <canonical> instead"
-};
-
 /// Raw field text by spelling; nullopt when the request has no such field.
 using FieldGetter = std::function<std::optional<std::string>(const std::string&)>;
 
 /// Fill @p out from the table: for every field exposed on @p surface, pull
-/// its text through @p get — canonical spelling first, deprecated alias as
-/// the one-release fallback (appending a FieldWarning when used) — and
-/// apply it.  Returns "" on success or the first "malformed <spelling>"
-/// problem; semantics are still validate()'s job.
+/// its text through @p get and apply it.  Returns "" on success or the
+/// first "malformed <spelling>" problem; semantics are still validate()'s
+/// job.
 std::string parseRequestFields(SolveRequest& out, RequestSurface surface,
-                               const FieldGetter& get,
-                               std::vector<FieldWarning>* warnings);
+                               const FieldGetter& get);
 
 /// CLI shim over the table: handles "--<cli>=<value>" (plus bare
 /// "--certify") for every field with a CLI spelling.  Returns true when

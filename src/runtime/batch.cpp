@@ -12,13 +12,11 @@
 
 #include "src/base/timer.hpp"
 #include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/obs.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
-#include "src/dqbf/hqs_solver.hpp"
-#include "src/runtime/portfolio.hpp"
+#include "src/runtime/execute.hpp"
 #include "src/runtime/session.hpp"
 #include "src/runtime/thread_pool.hpp"
 
@@ -169,16 +167,7 @@ void checkSerializedCertificate(BatchJobCertificate& c, const std::string& text,
                                 const Deadline& deadline)
 {
     c.present = true;
-    cert::Certificate parsed;
-    std::string detail;
-    const cert::CheckStatus st = cert::parseCertificateString(text, parsed, detail);
-    cert::CheckResult res;
-    if (st == cert::CheckStatus::Ok) {
-        res = cert::checkCertificate(parsed, deadline);
-    } else {
-        res.status = st;
-        res.detail = std::move(detail);
-    }
+    const cert::CheckResult res = cert::checkCertificateText(text, deadline);
     c.valid = res.ok();
     c.status = cert::toString(res.status);
     c.checkMs = res.checkMs;
@@ -222,6 +211,15 @@ SolveOutcome solveAtRung(const std::string& path, const BatchOptions& opts,
     gopts.cancel = opts.cancel;
     gopts.rssLimitBytes = opts.rssLimitBytes;
 
+    api::SolveRequest request;
+    request.engine = api::toString(opts.engine);
+    request.nodeLimit = nodeLimit;
+    request.certify = opts.certify;
+    HqsOptions hqsBase;
+    hqsBase.fraig = rung.fraig;
+    if (opts.fraigThresholdNodes != 0) hqsBase.fraigThresholdNodes = opts.fraigThresholdNodes;
+    if (rung.bddBackend) hqsBase.backend = HqsOptions::Backend::BddElimination;
+
     SolveOutcome out;
     // All OBS_* updates of this attempt — including portfolio racer threads,
     // which bind to this scope — accumulate locally, become the job's JSONL
@@ -232,55 +230,18 @@ SolveOutcome solveAtRung(const std::string& path, const BatchOptions& opts,
         // ParseError failure record, not a dead worker.  Re-parsing per rung
         // costs little against a solve and keeps attempts independent.
         const DqbfFormula formula = DqbfFormula::fromParsed(parseInstanceFile(path));
-        if (opts.portfolio) {
-            PortfolioOptions popts;
-            popts.maxEngines = opts.portfolioEngines;
-            popts.deadline = dl;
-            popts.nodeLimit = nodeLimit;
-            if (opts.strategy) {
-                popts.engines = PortfolioSolver::enginesFromSpec(
-                    *opts.strategy, nodeLimit, rung.fraig);
-                popts.strategyName = opts.strategy->name;
-            } else {
-                popts.engines =
-                    PortfolioSolver::defaultEngines(nodeLimit, rung.fraig);
-            }
-            popts.certify = opts.certify;
-            PortfolioSolver solver(popts);
-            const SolveResult r = solver.solve(formula);
-            out.engine = solver.stats().winnerName;
-            out.families = collectFamilies(solver.stats());
-            if (solver.stats().failure) out.failure = solver.stats().failure;
-            if (opts.certify && !solver.stats().winnerCertificate.empty()) {
-                out.certificateText = solver.stats().winnerCertificate;
-                checkSerializedCertificate(out.certificate,
-                                           solver.stats().winnerCertificate, dl);
-            }
-            return r;
+        const api::ExecuteOutcome run = api::execute(
+            request, formula, dl, hqsBase, opts.strategy ? &*opts.strategy : nullptr);
+        out.engine = run.engine;
+        out.failure = run.failure;
+        if (const auto* race = std::get_if<PortfolioStats>(&run.stats))
+            out.families = collectFamilies(*race);
+        if (!run.certificate.empty()) {
+            out.certificateText = run.certificate;
+            out.certificate.extractMs = run.extractMilliseconds;
+            checkSerializedCertificate(out.certificate, run.certificate, dl);
         }
-        HqsOptions hopts;
-        hopts.nodeLimit = nodeLimit;
-        hopts.deadline = dl;
-        hopts.fraig = rung.fraig;
-        if (opts.fraigThresholdNodes != 0)
-            hopts.fraigThresholdNodes = opts.fraigThresholdNodes;
-        if (rung.bddBackend) hopts.backend = HqsOptions::Backend::BddElimination;
-        // Certification needs the Skolem-recording AIG elimination run; BDD
-        // fallback rungs answer uncertified rather than not at all.
-        if (opts.certify && !rung.bddBackend) hopts.computeSkolem = true;
-        HqsSolver solver(hopts);
-        const SolveResult r = solver.solve(formula);
-        out.engine = "hqs";
-        if (r == SolveResult::Sat && hopts.computeSkolem && solver.skolemCertificate()) {
-            Timer extractTimer;
-            const cert::Certificate extracted =
-                cert::extractCertificate(formula, *solver.skolemCertificate());
-            const std::string text = cert::toCertificateString(extracted);
-            out.certificate.extractMs = extractTimer.elapsedMilliseconds();
-            out.certificateText = text;
-            checkSerializedCertificate(out.certificate, text, dl);
-        }
-        return r;
+        return run.result;
     });
     out.result = guarded.result;
     if (guarded.failure) out.failure = guarded.failure;

@@ -1,8 +1,9 @@
 // Batch job scheduler: shard a set of .dqdimacs instances across a worker
 // pool with per-job wall-clock, AIG-node, and RSS budgets.
 //
-// Each job parses one file and solves it with either the paper's HQS
-// configuration or a portfolio race.  Every attempt runs under the guard
+// Each job parses one file and solves it through api::execute with the
+// configured engine (the paper's HQS by default, or a portfolio race).
+// Every attempt runs under the guard
 // layer (guard.hpp): exceptions become structured FailureInfo records, and
 // an optional RSS watchdog converts imminent memory exhaustion into a
 // cooperative Memout.  A job that dies on a resource budget (or crashes)
@@ -30,6 +31,7 @@
 #include "src/base/cancel.hpp"
 #include "src/base/result.hpp"
 #include "src/cache/result_cache.hpp"
+#include "src/runtime/api.hpp"
 #include "src/runtime/guard.hpp"
 #include "src/strategy/spec.hpp"
 
@@ -41,8 +43,8 @@ struct BatchOptions {
     /// Per-job wall-clock budget in seconds (0 = unlimited).
     double jobTimeoutSeconds = 0.0;
     /// Per-job AIG-node budget, the stand-in for the paper's 8 GB memout
-    /// (0 = unlimited; also caps the iDQ ground-clause count in portfolio
-    /// mode).  Rungs of the degradation ladder scale this down.
+    /// (0 = unlimited; also caps the iDQ ground-clause count and the CEGAR
+    /// rule count).  Rungs of the degradation ladder scale this down.
     std::size_t nodeLimit = 0;
     /// Process-RSS budget in bytes (0 = no watchdog).  The guard layer fires
     /// a cooperative Memout before the OS OOM-killer would act.  RSS is
@@ -53,15 +55,14 @@ struct BatchOptions {
     /// main loop sweeps).  Exposed mainly so tests can force a sweep on
     /// small instances; 0 keeps the solver default.
     std::size_t fraigThresholdNodes = 0;
-    /// Solve each instance with a portfolio race instead of single HQS.
-    bool portfolio = false;
+    /// Engine every job runs: hqs (default), hqs-bdd, cegar, idq, expand,
+    /// or a portfolio race of the first portfolioEngines racers (0 = all).
+    api::EngineSpec engine;
     /// Extract a Skolem certificate for every SAT verdict and self-check it
     /// through the independent parser/checker; the outcome lands in each
     /// row's `certificate` block.  BDD-backend rungs cannot record Skolem
     /// traces and skip extraction.
     bool certify = false;
-    /// In portfolio mode: race only the first N default engines (0 = all).
-    std::size_t portfolioEngines = 0;
     /// Degradation ladder; rung 0 is the primary configuration.  An attempt
     /// that ends in Memout or a crash-style failure moves to the next rung
     /// (after that rung's backoff).  Resize to one rung to disable retries.
@@ -144,8 +145,8 @@ struct BatchJobResult {
     std::string instance;  ///< path as given
     SolveResult result = SolveResult::Unknown;
     double wallMilliseconds = 0.0;
-    /// Engine that produced the verdict: "hqs" or the portfolio winner's
-    /// name ("" while no engine was definitive).
+    /// Engine that produced the verdict: the engine's name ("hqs", ...) or
+    /// the portfolio winner's ("" while no racer was definitive).
     std::string engine;
     unsigned attempts = 0;   ///< rungs tried (1 = answered at the full config)
     bool degraded = false;   ///< verdict came from a rung below "full"

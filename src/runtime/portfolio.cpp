@@ -3,33 +3,17 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <thread>
 
-#include "src/cegar/cegar_solver.hpp"
 #include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
-#include "src/dqbf/dqbf_oracle.hpp"
-#include "src/dqbf/hqs_solver.hpp"
-#include "src/idq/idq_solver.hpp"
 #include "src/obs/obs.hpp"
+#include "src/runtime/execute.hpp"
 #include "src/runtime/thread_pool.hpp"
 
 namespace hqs {
-
-PortfolioOptions PortfolioSolver::optionsFromRequest(const api::SolveRequest& request)
-{
-    PortfolioOptions opts;
-    if (request.timeoutSeconds > 0) opts.deadline = Deadline::in(request.timeoutSeconds);
-    opts.nodeLimit = request.nodeLimit;
-    if (const std::optional<api::EngineSpec> spec = request.parsedEngine();
-        spec && spec->kind == api::EngineSpec::Kind::Portfolio) {
-        opts.maxEngines = spec->portfolioEngines;
-    }
-    opts.certify = request.certify;
-    return opts;
-}
 
 std::vector<PortfolioEngine> PortfolioSolver::defaultEngines(std::size_t nodeLimit, bool fraig)
 {
@@ -50,108 +34,33 @@ std::vector<PortfolioEngine> PortfolioSolver::enginesFromSpec(
             static_cast<double>(nodeLimit) * rung.nodeLimitScale);
         const std::size_t scaledLimit =
             nodeLimit == 0 ? 0 : std::max<std::size_t>(1, scaledRaw);
-        const bool rungFraig = fraig && rung.fraig;
+
+        // The racer runs its rung through the one execution path.  An
+        // expand rung carries its own universal cap as a one-rung spec.
+        api::SolveRequest request;
+        request.engine = rung.engine;
+        request.nodeLimit = scaledLimit;
+        HqsOptions hqsBase;
+        hqsBase.selection = rung.selection == "greedy" ? HqsOptions::Selection::Greedy
+                                                       : HqsOptions::Selection::MaxSat;
+        hqsBase.fraig = fraig && rung.fraig;
+        std::shared_ptr<strategy::StrategySpec> rungSpec;
+        if (parsed->kind == api::EngineSpec::Kind::Expand) {
+            rungSpec = std::make_shared<strategy::StrategySpec>();
+            rungSpec->engines = {rung};
+        }
 
         PortfolioEngine engine;
         engine.name = rung.name;
         engine.family = api::engineFamily(parsed->kind);
-        switch (parsed->kind) {
-        case api::EngineSpec::Kind::Hqs:
-        case api::EngineSpec::Kind::HqsBdd: {
-            const HqsOptions::Selection sel = rung.selection == "greedy"
-                                                  ? HqsOptions::Selection::Greedy
-                                                  : HqsOptions::Selection::MaxSat;
-            const HqsOptions::Backend backend =
-                parsed->kind == api::EngineSpec::Kind::HqsBdd
-                    ? HqsOptions::Backend::BddElimination
-                    : HqsOptions::Backend::AigElimination;
-            engine.run = [scaledLimit, rungFraig, sel,
-                          backend](const DqbfFormula& f, const Deadline& dl) {
-                HqsOptions opts;
-                opts.selection = sel;
-                opts.backend = backend;
-                opts.nodeLimit = scaledLimit;
-                opts.fraig = rungFraig;
-                opts.deadline = dl;
-                HqsSolver solver(opts);
-                return solver.solve(f);
-            };
-            // Certifying variant for the AIG-elimination configurations:
-            // Skolem recording on, and on Sat the reconstructed functions
-            // are serialized into the caller's slot as a checkable
-            // artifact.  The BDD backend cannot record Skolem traces.
-            if (parsed->kind == api::EngineSpec::Kind::Hqs) {
-                engine.runCertify = [scaledLimit, rungFraig,
-                                     sel](const DqbfFormula& f, const Deadline& dl,
-                                          std::string* certOut) {
-                    HqsOptions opts;
-                    opts.selection = sel;
-                    opts.backend = HqsOptions::Backend::AigElimination;
-                    opts.nodeLimit = scaledLimit;
-                    opts.fraig = rungFraig;
-                    opts.deadline = dl;
-                    opts.computeSkolem = true;
-                    HqsSolver solver(opts);
-                    const SolveResult r = solver.solve(f);
-                    if (r == SolveResult::Sat && certOut &&
-                        solver.skolemCertificate()) {
-                        *certOut = cert::toCertificateString(cert::extractCertificate(
-                            f, *solver.skolemCertificate()));
-                    }
-                    return r;
-                };
-            }
-            break;
-        }
-        case api::EngineSpec::Kind::Idq:
-            engine.run = [scaledLimit](const DqbfFormula& f, const Deadline& dl) {
-                IdqOptions opts;
-                opts.deadline = dl;
-                opts.groundClauseLimit = scaledLimit;
-                IdqSolver solver(opts);
-                return solver.solve(f);
-            };
-            break;
-        case api::EngineSpec::Kind::Expand: {
-            // Full expansion is exponential in the universal count; beyond
-            // the rung's cap it would only burn a core.
-            const std::size_t maxUniversals = rung.maxUniversals;
-            engine.run = [maxUniversals](const DqbfFormula& f, const Deadline& dl) {
-                if (f.universals().size() > maxUniversals)
-                    return SolveResult::Unknown;
-                return expansionDqbf(f, dl);
-            };
-            break;
-        }
-        case api::EngineSpec::Kind::Cegar:
-            // The rung's node budget caps learned rules: both grow with the
-            // engine's memory footprint, so the degradation ladder's scaling
-            // shrinks the CEGAR abstraction the same way it shrinks AIGs.
-            engine.run = [scaledLimit](const DqbfFormula& f, const Deadline& dl) {
-                CegarOptions opts;
-                opts.deadline = dl;
-                opts.ruleLimit = scaledLimit;
-                CegarSolver solver(opts);
-                return solver.solve(f);
-            };
-            engine.runCertify = [scaledLimit](const DqbfFormula& f, const Deadline& dl,
-                                              std::string* certOut) {
-                CegarOptions opts;
-                opts.deadline = dl;
-                opts.ruleLimit = scaledLimit;
-                opts.computeSkolem = true;
-                CegarSolver solver(opts);
-                const SolveResult r = solver.solve(f);
-                if (r == SolveResult::Sat && certOut && solver.skolemCertificate()) {
-                    *certOut = cert::toCertificateString(cert::extractCertificate(
-                        f, *solver.skolemCertificate()));
-                }
-                return r;
-            };
-            break;
-        case api::EngineSpec::Kind::Portfolio:
-            continue;
-        }
+        engine.run = [request, hqsBase, rungSpec](const DqbfFormula& f, const Deadline& dl,
+                                                  std::string* certOut) {
+            api::SolveRequest r = request;
+            r.certify = certOut != nullptr;
+            api::ExecuteOutcome out = api::execute(r, f, dl, hqsBase, rungSpec.get());
+            if (certOut) *certOut = std::move(out.certificate);
+            return out.result;
+        };
         engines.push_back(std::move(engine));
     }
     return engines;
@@ -168,13 +77,8 @@ SolveResult PortfolioSolver::judgeDisagreement(const std::string& contradiction)
     std::string rejectedWhat;
     for (EngineRunStats& es : stats_.engines) {
         if (es.result != SolveResult::Sat || es.certificate.empty()) continue;
-        cert::Certificate parsed;
-        std::string detail;
-        cert::CheckStatus status =
-            cert::parseCertificateString(es.certificate, parsed, detail);
-        if (status == cert::CheckStatus::Ok) {
-            status = cert::checkCertificate(parsed, opts_.deadline).status;
-        }
+        const cert::CheckStatus status =
+            cert::checkCertificateText(es.certificate, opts_.deadline).status;
         es.certCheck = cert::toString(status);
         OBS_COUNT("portfolio.disagreement_certchecks", 1);
         if (status == cert::CheckStatus::Ok) {
@@ -264,11 +168,7 @@ SolveResult PortfolioSolver::solve(const DqbfFormula& f)
                 FailureInfo failure;
                 std::string certText;
                 try {
-                    if (opts_.certify && engines[i].runCertify) {
-                        r = engines[i].runCertify(f, dl, &certText);
-                    } else {
-                        r = engines[i].run(f, dl);
-                    }
+                    r = engines[i].run(f, dl, opts_.certify ? &certText : nullptr);
                 } catch (...) {
                     // An engine crashing must not take the race down; record
                     // what it died on so the stats tell the story.

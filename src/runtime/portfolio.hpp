@@ -19,28 +19,23 @@
 #include "src/base/result.hpp"
 #include "src/base/timer.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
-#include "src/runtime/api.hpp"
 #include "src/runtime/guard.hpp"
 #include "src/strategy/spec.hpp"
 
 namespace hqs {
 
-/// One racer: a named engine configuration.  run() receives its own copy of
-/// the formula and a Deadline that already carries this racer's CancelToken;
-/// it must poll the deadline and return Timeout once it expires.
+/// One racer: a named engine configuration.  run() receives the formula and
+/// a Deadline that already carries this racer's CancelToken; it must poll
+/// the deadline and return Timeout once it expires.  Under
+/// PortfolioOptions::certify the race passes a non-null @p certOut, and a
+/// racer that can certify serializes its Skolem certificate there on Sat;
+/// the others leave it empty.
 struct PortfolioEngine {
     std::string name;
-    std::function<SolveResult(const DqbfFormula&, const Deadline&)> run;
-    /// Optional certifying variant: like run(), but on Sat additionally
-    /// serializes a Skolem certificate artifact into *certOut.  Engines that
-    /// cannot certify (BDD backend, idq, expand) leave this empty; the race
-    /// falls back to run() for them even under PortfolioOptions::certify.
     std::function<SolveResult(const DqbfFormula&, const Deadline&, std::string* certOut)>
-        runCertify;
+        run;
     /// Engine family (api::engineFamily) for win/loss accounting; "" when
-    /// the caller hand-rolled the lineup and did not care.  Last member so
-    /// pre-existing positional {name, run, runCertify} initializers keep
-    /// compiling.
+    /// the caller hand-rolled the lineup and did not care.
     std::string family;
 };
 
@@ -131,20 +126,14 @@ public:
                                                        bool fraig = true);
 
     /// Translate a validated strategy spec's engine rungs into runnable
-    /// racers.  Per rung, the request node budget is scaled by
-    /// nodeLimitScale and FRAIG is the AND of the rung flag and @p fraig
-    /// (so a degraded ladder rung can force sweeping off across the whole
-    /// lineup).  defaultEngines() is exactly
-    /// enginesFromSpec(strategy::defaultStrategySpec(), ...).
+    /// racers, each of which runs its rung through api::execute.  Per rung,
+    /// the request node budget is scaled by nodeLimitScale and FRAIG is the
+    /// AND of the rung flag and @p fraig (so a degraded ladder rung can
+    /// force sweeping off across the whole lineup).  defaultEngines() is
+    /// exactly enginesFromSpec(strategy::defaultStrategySpec(), ...).
     static std::vector<PortfolioEngine> enginesFromSpec(
         const strategy::StrategySpec& spec, std::size_t nodeLimit = 0,
         bool fraig = true);
-
-    /// Translate a *validated* api::SolveRequest into portfolio options:
-    /// timeout -> deadline, node limit, and the portfolio:N lineup cap.
-    /// Precondition: request.validate() returned no errors.  Callers racing
-    /// under an outer guard overwrite the deadline with the guarded one.
-    static PortfolioOptions optionsFromRequest(const api::SolveRequest& request);
 
 private:
     /// Re-judge a Sat-vs-Unsat contradiction with the independent

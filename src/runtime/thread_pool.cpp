@@ -120,15 +120,4 @@ void ThreadPool::workerLoop()
     }
 }
 
-ThreadPool& ThreadPool::sharedHelperPool()
-{
-    // Small and process-wide: helper jobs are short-lived leaves, so a
-    // couple of workers suffice even when several solves overlap.  The
-    // function-local static is intentionally leaked-at-exit-free (joined by
-    // static destruction after main).
-    static ThreadPool pool(
-        std::clamp<std::size_t>(std::thread::hardware_concurrency() / 2, 1, 4), 256);
-    return pool;
-}
-
 } // namespace hqs

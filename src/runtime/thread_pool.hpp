@@ -70,14 +70,6 @@ public:
 
     static constexpr std::size_t kDefaultQueueCapacity = 1024;
 
-    /// Process-wide helper pool for kernel-internal parallelism (the
-    /// Theorem-1 concurrent cofactor builds).  Deliberately separate from
-    /// any solve-level pool: helper jobs are leaves that never submit work
-    /// themselves, so a solver thread blocking on a helper future cannot
-    /// deadlock the pool its own solve runs on.  Lazily constructed, lives
-    /// until process exit.
-    static ThreadPool& sharedHelperPool();
-
 private:
     struct QueuedJob {
         std::function<void()> fn;

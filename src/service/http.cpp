@@ -351,9 +351,8 @@ std::string buildHttpSolveRequest(const std::string& formula,
     }
     if (opts.certify) out += "certify: 1\r\n";
     if (!opts.cacheControl.empty()) {
-        // v2 spelling: the v1 "cache-control" header shadowed standard HTTP
-        // Cache-Control semantics; the server still accepts it as a
-        // deprecated alias for one release.
+        // Not "cache-control": that would shadow standard HTTP
+        // Cache-Control semantics.
         out += "solver-cache: ";
         out += opts.cacheControl;
         out += "\r\n";

@@ -117,9 +117,7 @@ bool jsonScalarField(const std::string& obj, const std::string& key, std::string
 /// `engine`, `certify`, `solver-cache`, `strategy`, `format`; JSONL fields
 /// `timeout_ms`, `rss_limit_mb`, `engine`, `certify`, `cache`, `strategy`,
 /// `format` plus the v2 session fields (`op`, `session`, `add_group`,
-/// `clauses`, `retract_group`, `gate`, `assume`).  The v1 spellings
-/// `cache_control` / `cache-control` still parse for one release and tag
-/// the response as deprecated.
+/// `clauses`, `retract_group`, `gate`, `assume`).
 struct SolveRequestOptions {
     double timeoutSeconds = 0;      ///< 0 = server default
     std::size_t rssLimitBytes = 0;  ///< 0 = server default

@@ -25,18 +25,15 @@
 
 #include "src/base/cancel.hpp"
 #include "src/cache/canonical.hpp"
-#include "src/cegar/cegar_solver.hpp"
 #include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
-#include "src/dqbf/hqs_solver.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
 #include "src/runtime/api.hpp"
+#include "src/runtime/execute.hpp"
 #include "src/runtime/guard.hpp"
-#include "src/runtime/portfolio.hpp"
 #include "src/runtime/session.hpp"
 #include "src/runtime/thread_pool.hpp"
 #include "src/service/scoreboard.hpp"
@@ -84,30 +81,6 @@ SolveRequestOptions toWireOptions(const api::SolveRequest& request)
     ropts.gate = request.gate;
     ropts.assume = request.assume;
     return ropts;
-}
-
-/// `"deprecated":["cache_control",...]` fragment for JSONL responses whose
-/// request used pre-v2 field spellings ("" when it used none).
-std::string deprecatedFragment(const std::vector<api::FieldWarning>& warnings)
-{
-    if (warnings.empty()) return {};
-    std::string out = "\"deprecated\":[";
-    for (std::size_t i = 0; i < warnings.size(); ++i) {
-        if (i) out += ",";
-        out += "\"" + jsonEscape(warnings[i].field) + "\"";
-    }
-    out += "]";
-    return out;
-}
-
-/// The HTTP flavour of the same warning: one Deprecation header per used
-/// alias, naming the replacement.
-std::string deprecationHeaders(const std::vector<api::FieldWarning>& warnings)
-{
-    std::string out;
-    for (const api::FieldWarning& w : warnings)
-        out += "Deprecation: " + w.field + " (" + w.message + ")\r\n";
-    return out;
 }
 
 /// The signal hook (installSignalDrain): the handler only bumps a counter
@@ -208,11 +181,6 @@ struct SolverService::Impl {
         /// JSONL protocol tag appended to the response row ("v2" /
         /// "v1-compat"; "" = HTTP, no tag).
         std::string protocol;
-        /// Prebuilt `"deprecated":[...]` fragment when the request used
-        /// pre-v2 field spellings ("" = none).
-        std::string deprecated;
-        /// Extra HTTP response headers (deprecation warnings).
-        std::string extraHeaders;
     };
     std::unordered_map<std::uint64_t, Pending> pending;
     std::uint64_t nextReqId = 1;
@@ -653,7 +621,6 @@ struct SolverService::Impl {
         api::SolveRequest request;
         EngineSpec spec;
         std::string problem;
-        std::vector<api::FieldWarning> warnings;
         if (req.body.empty()) {
             problem = "empty body";
         } else {
@@ -662,8 +629,7 @@ struct SolverService::Impl {
                 [&req](const std::string& name) -> std::optional<std::string> {
                     if (const std::string* v = req.header(name)) return *v;
                     return std::nullopt;
-                },
-                &warnings);
+                });
             if (problem.empty()) problem = vetRequest(request, spec);
             if (problem.empty()) problem = vetStrategy(request.strategy);
         }
@@ -682,8 +648,7 @@ struct SolverService::Impl {
                                        extraHeaders));
             return flushOrKeep(c);
         }
-        admit(c, /*rowId=*/"", keepAlive, req.body, toWireOptions(request), spec,
-              /*protocol=*/"", /*deprecated=*/"", deprecationHeaders(warnings));
+        admit(c, /*rowId=*/"", keepAlive, req.body, toWireOptions(request), spec);
         return true;
     }
 
@@ -723,7 +688,6 @@ struct SolverService::Impl {
 
         api::SolveRequest request;
         EngineSpec spec;
-        std::vector<api::FieldWarning> warnings;
         // One table-driven parse shared with the HTTP and CLI surfaces;
         // validate() (inside vetRequest) judges the extracted values.
         std::string problem = api::parseRequestFields(
@@ -732,12 +696,10 @@ struct SolverService::Impl {
                 std::string v;
                 if (jsonScalarField(line, name, v)) return v;
                 return std::nullopt;
-            },
-            &warnings);
+            });
         const bool v2 = !request.op.empty();
         const std::string protocol = v2 ? "v2" : "v1-compat";
         const std::string protoSuffix = ",\"protocol\":\"" + protocol + "\"";
-        const std::string deprecated = deprecatedFragment(warnings);
 
         std::string formula;
         jsonStringField(line, "formula", formula);
@@ -763,7 +725,7 @@ struct SolverService::Impl {
                 return flushOrKeep(c);
             }
             admit(c, id, /*keepAlive=*/true, formula, toWireOptions(request), spec,
-                  protocol, deprecated);
+                  protocol);
             return true;
         }
 
@@ -793,7 +755,7 @@ struct SolverService::Impl {
             }
         }
         admitSessionOp(c, id, std::move(session), formula, toWireOptions(request),
-                       protocol, deprecated);
+                       protocol);
         return true;
     }
 
@@ -844,8 +806,7 @@ struct SolverService::Impl {
 
     void admit(Conn& c, const std::string& rowId, bool keepAlive, std::string formula,
                SolveRequestOptions ropts, EngineSpec spec,
-               const std::string& protocol = {}, const std::string& deprecated = {},
-               const std::string& extraHeaders = {})
+               const std::string& protocol = {})
     {
         if (ropts.timeoutSeconds <= 0) ropts.timeoutSeconds = opts.defaultTimeoutSeconds;
         if (ropts.rssLimitBytes == 0) ropts.rssLimitBytes = opts.defaultRssLimitBytes;
@@ -857,8 +818,6 @@ struct SolverService::Impl {
         p.keepAlive = keepAlive;
         p.rowId = rowId;
         p.protocol = protocol;
-        p.deprecated = deprecated;
-        p.extraHeaders = extraHeaders;
         c.outstanding.push_back(reqId);
 
         counters.solvesAdmitted.fetch_add(1, std::memory_order_relaxed);
@@ -880,7 +839,7 @@ struct SolverService::Impl {
     /// "close" rides the same queue so it cannot overtake a queued solve.
     void admitSessionOp(Conn& c, const std::string& rowId, std::shared_ptr<Session> session,
                         std::string formula, SolveRequestOptions ropts,
-                        const std::string& protocol, const std::string& deprecated)
+                        const std::string& protocol)
     {
         if (ropts.timeoutSeconds <= 0) ropts.timeoutSeconds = opts.defaultTimeoutSeconds;
         if (ropts.rssLimitBytes == 0) ropts.rssLimitBytes = opts.defaultRssLimitBytes;
@@ -893,7 +852,6 @@ struct SolverService::Impl {
         p.rowId = rowId;
         p.sessionId = ropts.session;
         p.protocol = protocol;
-        p.deprecated = deprecated;
         c.outstanding.push_back(reqId);
 
         counters.solvesAdmitted.fetch_add(1, std::memory_order_relaxed);
@@ -952,11 +910,6 @@ struct SolverService::Impl {
                      const EngineSpec& spec)
     {
         Timer t;
-        std::string engineName = spec.kind == EngineSpec::Kind::HqsBdd ? "hqs-bdd"
-                                 : spec.kind == EngineSpec::Kind::Cegar ? "cegar"
-                                                                        : "hqs";
-        FailureInfo raceFailure;
-        std::string certText; ///< serialized certificate of a certify+Sat solve
 
         // Request shaping: resolve the strategy spec, then the effective
         // cache mode (strategy policy, overridden by the request's
@@ -1050,18 +1003,23 @@ struct SolverService::Impl {
             }
         }
 
+        api::SolveRequest request;
+        request.engine = api::toString(spec);
+        request.nodeLimit = opts.nodeLimit;
+        request.certify = ropts.certify;
         // Crash containment: journal this request in the shared-memory
         // scoreboard so the supervisor can stamp a worker-crash FailureInfo
         // if this process dies mid-solve.  The site label is the engine the
         // request entered — the finest-grained span a dead process can
         // still be attributed to.
         std::size_t sbEntry = WorkerScoreboard::kJournalSlots;
-        if (opts.scoreboard) {
-            const char* siteLabel =
-                spec.kind == EngineSpec::Kind::Portfolio ? "portfolio" : engineName.c_str();
-            sbEntry = opts.scoreboard->claim(scoreboardHash(formula), siteLabel);
-        }
+        if (opts.scoreboard)
+            sbEntry = opts.scoreboard->claim(scoreboardHash(formula), api::toString(spec.kind));
 
+        api::ExecuteOutcome run;
+        // A solo engine is named even when its run dies; a portfolio names
+        // its winner.
+        if (spec.kind != EngineSpec::Kind::Portfolio) run.engine = api::toString(spec.kind);
         GuardOptions gopts;
         gopts.deadline = Deadline::in(ropts.timeoutSeconds);
         gopts.cancel = token;
@@ -1071,50 +1029,8 @@ struct SolverService::Impl {
             const DqbfFormula f = DqbfFormula::fromParsed(
                 dqcir ? lowerDqcir(parseDqcirString(formula))
                       : parseDqdimacsString(formula));
-            if (spec.kind == EngineSpec::Kind::Portfolio) {
-                PortfolioOptions popts;
-                popts.deadline = dl;
-                popts.nodeLimit = opts.nodeLimit;
-                popts.maxEngines = spec.portfolioEngines;
-                popts.certify = ropts.certify;
-                if (strat) {
-                    popts.engines =
-                        PortfolioSolver::enginesFromSpec(*strat, opts.nodeLimit);
-                    popts.strategyName = strat->name;
-                }
-                PortfolioSolver solver(popts);
-                const SolveResult r = solver.solve(f);
-                engineName = solver.stats().winnerName;
-                if (solver.stats().failure) raceFailure = solver.stats().failure;
-                certText = solver.stats().winnerCertificate;
-                return r;
-            }
-            if (spec.kind == EngineSpec::Kind::Cegar) {
-                CegarOptions copts;
-                copts.deadline = dl;
-                copts.ruleLimit = opts.nodeLimit;
-                copts.computeSkolem = ropts.certify;
-                CegarSolver solver(copts);
-                const SolveResult r = solver.solve(f);
-                if (ropts.certify && r == SolveResult::Sat && solver.skolemCertificate())
-                    certText = cert::toCertificateString(
-                        cert::extractCertificate(f, *solver.skolemCertificate()));
-                return r;
-            }
-            HqsOptions hopts;
-            hopts.deadline = dl;
-            hopts.nodeLimit = opts.nodeLimit;
-            if (spec.kind == EngineSpec::Kind::HqsBdd)
-                hopts.backend = HqsOptions::Backend::BddElimination;
-            // vetRequest rejected certify+hqs-bdd, so this never overrides
-            // the BDD backend choice above.
-            if (ropts.certify) hopts.computeSkolem = true;
-            HqsSolver solver(hopts);
-            const SolveResult r = solver.solve(f);
-            if (ropts.certify && r == SolveResult::Sat && solver.skolemCertificate())
-                certText = cert::toCertificateString(
-                    cert::extractCertificate(f, *solver.skolemCertificate()));
-            return r;
+            run = api::execute(request, f, dl, {}, strat);
+            return run.result;
         });
 
         const double wallMs = t.elapsedMilliseconds();
@@ -1127,10 +1043,10 @@ struct SolverService::Impl {
             1);
 #endif
 
-        const FailureInfo& failure = outcome.failure ? outcome.failure : raceFailure;
+        const FailureInfo& failure = outcome.failure ? outcome.failure : run.failure;
         std::string body = "\"result\":\"" + toString(outcome.result) + "\"";
         body += ",\"wall_ms\":" + std::to_string(wallMs);
-        if (!engineName.empty()) body += ",\"engine\":\"" + jsonEscape(engineName) + "\"";
+        if (!run.engine.empty()) body += ",\"engine\":\"" + jsonEscape(run.engine) + "\"";
         if (failure) {
             body += ",\"failure\":{\"kind\":\"" + std::string(toString(failure.kind)) +
                     "\",\"site\":\"" + jsonEscape(failure.site) + "\",\"what\":\"" +
@@ -1138,15 +1054,15 @@ struct SolverService::Impl {
         }
         int status = 200;
         if (ropts.certify && outcome.result == SolveResult::Sat)
-            status = appendCertificate(body, certText, gopts.deadline);
+            status = appendCertificate(body, run.certificate, gopts.deadline);
         if (cacheWrite && keyed && isConclusive(outcome.result)) {
             try {
                 cache::CacheEntry entry;
                 entry.result = outcome.result;
-                entry.engine = engineName;
+                entry.engine = run.engine;
                 entry.solveMilliseconds = wallMs;
                 entry.certFormulaHash = chash;
-                entry.certificate = certText;
+                entry.certificate = run.certificate;
                 rcache->store(ckey, entry);
                 counters.cacheStores.fetch_add(1, std::memory_order_relaxed);
             } catch (const std::exception&) {
@@ -1326,10 +1242,7 @@ struct SolverService::Impl {
         }
         std::string selfCheck;
         if (opts.certSelfCheck) {
-            cert::Certificate parsed;
-            std::string detail;
-            cert::CheckStatus st = cert::parseCertificateString(certText, parsed, detail);
-            if (st == cert::CheckStatus::Ok) st = cert::checkCertificate(parsed, deadline).status;
+            const cert::CheckStatus st = cert::checkCertificateText(certText, deadline).status;
             selfCheck = cert::toString(st);
             if (st != cert::CheckStatus::Ok) {
                 // Never ship a certificate the server itself could not
@@ -1382,14 +1295,12 @@ struct SolverService::Impl {
                 std::string row = "{";
                 if (!p.rowId.empty()) row += "\"id\":\"" + jsonEscape(p.rowId) + "\",";
                 row += done.bodyFragment;
-                if (!p.deprecated.empty()) row += "," + p.deprecated;
                 if (!p.protocol.empty()) row += ",\"protocol\":\"" + p.protocol + "\"";
                 row += "}\n";
                 queueWrite(c, row);
             } else {
                 queueWrite(c, httpResponse(done.status, "application/json",
-                                           "{" + done.bodyFragment + "}", p.keepAlive,
-                                           p.extraHeaders));
+                                           "{" + done.bodyFragment + "}", p.keepAlive));
                 if (!p.keepAlive) c.closeAfterFlush = true;
             }
             if (flushOrKeep(c) && !c.jsonl) {

@@ -140,21 +140,6 @@ TEST(Aig, ParallelSubstituteIsSimultaneous)
     EXPECT_EQ(truthTable(aig, g, 2), truthTable(aig, aig.mkAnd(y, ~x), 2));
 }
 
-TEST(Aig, DeprecatedMapSubstituteStillWorks)
-{
-    // Compatibility shim for the pre-Substitution API; scheduled for
-    // removal once downstream users have migrated.
-    Aig aig;
-    const AigEdge x = aig.variable(0);
-    const AigEdge y = aig.variable(1);
-    const AigEdge f = aig.mkAnd(x, ~y);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-    const AigEdge g = aig.substitute(f, {{0u, y}, {1u, x}});
-#pragma GCC diagnostic pop
-    EXPECT_EQ(truthTable(aig, g, 2), truthTable(aig, aig.mkAnd(y, ~x), 2));
-}
-
 TEST(Aig, ScratchSubstitutionResetsBetweenUses)
 {
     Aig aig;

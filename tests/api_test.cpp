@@ -9,7 +9,6 @@
 #include <limits>
 
 #include "src/runtime/api.hpp"
-#include "src/runtime/portfolio.hpp"
 
 namespace hqs::api {
 namespace {
@@ -88,6 +87,9 @@ TEST(EngineSpecParsing, AcceptsTheFullEngineMenu)
     ASSERT_TRUE(capped.has_value());
     EXPECT_EQ(capped->kind, EngineSpec::Kind::Portfolio);
     EXPECT_EQ(capped->portfolioEngines, 3u);
+    // toString is the inverse the front ends use to rebuild engine text.
+    EXPECT_EQ(toString(*capped), "portfolio:3");
+    EXPECT_EQ(toString(*parseEngineSpec("hqs-bdd")), "hqs-bdd");
 
     for (const char* bad : {"portfolio:", "portfolio:0", "portfolio:x", "sat", "HQS"}) {
         EXPECT_FALSE(parseEngineSpec(bad).has_value()) << bad;
@@ -119,19 +121,6 @@ TEST(ParseHelpers, FullStringSyntaxOnly)
     EXPECT_TRUE(parseMegabytes("8", &bytes));
     EXPECT_EQ(bytes, 8u * 1024 * 1024);
     EXPECT_FALSE(parseMegabytes("99999999999999999999", &bytes)); // overflow
-}
-
-TEST(SolveRequest, TranslatesIntoPortfolioOptions)
-{
-    SolveRequest request;
-    request.engine = "portfolio:2";
-    request.timeoutSeconds = 60;
-    request.nodeLimit = 12345;
-    ASSERT_TRUE(request.validate().empty());
-    const PortfolioOptions popts = PortfolioSolver::optionsFromRequest(request);
-    EXPECT_EQ(popts.maxEngines, 2u);
-    EXPECT_EQ(popts.nodeLimit, 12345u);
-    EXPECT_FALSE(popts.deadline.expired());
 }
 
 } // namespace

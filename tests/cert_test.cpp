@@ -197,17 +197,11 @@ TEST(Certificate, EverySatInstanceInTestDataCertifies)
 
 // -------------------------------------------- portfolio disagreement judge
 
-/// A runCertify engine backed by the real solver: answers Sat and hands
+/// A certifying engine backed by the real solver: answers Sat and hands
 /// back a genuine certificate.
 PortfolioEngine honestCertifier(const char* name)
 {
     return {name,
-            [](const DqbfFormula& f, const Deadline& dl) {
-                HqsOptions opts;
-                opts.deadline = dl;
-                HqsSolver solver(opts);
-                return solver.solve(f);
-            },
             [](const DqbfFormula& f, const Deadline& dl, std::string* certOut) {
                 HqsOptions opts;
                 opts.deadline = dl;
@@ -218,7 +212,8 @@ PortfolioEngine honestCertifier(const char* name)
                     *certOut = cert::toCertificateString(
                         cert::extractCertificate(f, *solver.skolemCertificate()));
                 return r;
-            }};
+            },
+            ""};
 }
 
 TEST(PortfolioCertJudge, ValidCertificateVindicatesSatOverALyingUnsat)
@@ -226,8 +221,8 @@ TEST(PortfolioCertJudge, ValidCertificateVindicatesSatOverALyingUnsat)
     PortfolioOptions opts;
     opts.certify = true;
     opts.engines = {
-        {"liar-unsat", [](const DqbfFormula&, const Deadline&) { return SolveResult::Unsat; },
-         {}},
+        {"liar-unsat",
+         [](const DqbfFormula&, const Deadline&, std::string*) { return SolveResult::Unsat; }, ""},
         honestCertifier("honest-sat"),
     };
     PortfolioSolver solver(opts);
@@ -255,12 +250,12 @@ TEST(PortfolioCertJudge, RejectedCertificateVindicatesTheUnsatSide)
     opts.certify = true;
     opts.engines = {
         {"honest-unsat",
-         [](const DqbfFormula&, const Deadline&) { return SolveResult::Unsat; }, {}},
-        {"braggart-sat", [](const DqbfFormula&, const Deadline&) { return SolveResult::Sat; },
+         [](const DqbfFormula&, const Deadline&, std::string*) { return SolveResult::Unsat; }, ""},
+        {"braggart-sat",
          [](const DqbfFormula&, const Deadline&, std::string* certOut) {
              if (certOut) *certOut = "dqbf-cert 1\nnot a real certificate\n";
              return SolveResult::Sat;
-         }},
+         }, ""},
     };
     PortfolioSolver solver(opts);
     // Use a formula the fake engines never look at; the judge only inspects
@@ -282,10 +277,10 @@ TEST(PortfolioCertJudge, NoCertificateKeepsTheOldUnknownBehavior)
     PortfolioOptions opts;
     opts.certify = true; // requested, but neither engine can produce one
     opts.engines = {
-        {"says-sat", [](const DqbfFormula&, const Deadline&) { return SolveResult::Sat; },
-         {}},
-        {"says-unsat", [](const DqbfFormula&, const Deadline&) { return SolveResult::Unsat; },
-         {}},
+        {"says-sat",
+         [](const DqbfFormula&, const Deadline&, std::string*) { return SolveResult::Sat; }, ""},
+        {"says-unsat",
+         [](const DqbfFormula&, const Deadline&, std::string*) { return SolveResult::Unsat; }, ""},
     };
     PortfolioSolver solver(opts);
     const DqbfFormula f = copycat();

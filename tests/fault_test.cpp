@@ -414,10 +414,10 @@ TEST(PortfolioGuard, ContradictoryVerdictsYieldUnknownNotACoinFlip)
 {
     PortfolioOptions opts;
     opts.engines = {
-        {"says-sat", [](const DqbfFormula&, const Deadline&) { return SolveResult::Sat; },
-         {}},
-        {"says-unsat", [](const DqbfFormula&, const Deadline&) { return SolveResult::Unsat; },
-         {}},
+        {"says-sat",
+         [](const DqbfFormula&, const Deadline&, std::string*) { return SolveResult::Sat; }, ""},
+        {"says-unsat",
+         [](const DqbfFormula&, const Deadline&, std::string*) { return SolveResult::Unsat; }, ""},
     };
     PortfolioSolver solver(opts);
     const DqbfFormula f =
@@ -437,12 +437,11 @@ TEST(PortfolioGuard, ThrowingEngineIsRecordedAndTheRaceStillAnswers)
     PortfolioOptions opts;
     opts.engines = {
         {"crasher",
-         [](const DqbfFormula&, const Deadline&) -> SolveResult {
+         [](const DqbfFormula&, const Deadline&, std::string*) -> SolveResult {
              throw std::runtime_error("engine bug");
-         },
-         {}},
-        {"steady", [](const DqbfFormula&, const Deadline&) { return SolveResult::Sat; },
-         {}},
+         }, ""},
+        {"steady",
+         [](const DqbfFormula&, const Deadline&, std::string*) { return SolveResult::Sat; }, ""},
     };
     PortfolioSolver solver(opts);
     const DqbfFormula f =

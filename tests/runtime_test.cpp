@@ -375,8 +375,7 @@ TEST(Batch, PortfolioModeReportsTheWinner)
 {
     BatchOptions opts;
     opts.numWorkers = 1;
-    opts.portfolio = true;
-    opts.portfolioEngines = 2;
+    opts.engine = *api::parseEngineSpec("portfolio:2");
     BatchScheduler scheduler(opts);
     const std::vector<BatchJobResult> results =
         scheduler.run(BatchScheduler::collectInstances(HQS_TEST_DATA_DIR));

@@ -1145,44 +1145,39 @@ TEST(ProtocolCompat, HandshakeRowNegotiatesTheVersion)
     });
 }
 
-TEST(ProtocolCompat, DeprecatedCacheControlSpellingStillParsesAndWarns)
+TEST(ProtocolCompat, RetiredCacheControlSpellingsNoLongerSwitchTheCacheOff)
 {
-    withJsonlService([](SolverService&, BlockingClient& client) {
-        // The v1 spelling still works for one release, but the row is
-        // field-tagged deprecated.
-        const std::string reply = roundTrip(
-            client, "{\"id\":\"dep\",\"cache_control\":\"off\",\"formula\":\"" +
-                        jsonEscape(kSatFormula) + "\"}\n");
-        std::string verdict;
-        ASSERT_TRUE(jsonStringField(reply, "result", verdict)) << reply;
-        EXPECT_EQ(verdict, "SAT");
-        EXPECT_NE(reply.find("\"deprecated\":[\"cache_control\"]"), std::string::npos)
-            << reply;
-    });
-}
-
-TEST(ProtocolCompat, DeprecatedHttpCacheControlHeaderWarns)
-{
+    // The pre-v2 spellings (`cache_control` in JSONL, the `cache-control`
+    // HTTP header) are unknown fields now: they are ignored, so a repeat
+    // request is answered from the result cache.
     ServiceOptions opts;
-    opts.maxInflight = 2;
-    opts.defaultTimeoutSeconds = 30;
-    SolverService service(opts);
-    std::string error;
-    ASSERT_TRUE(service.start(&error)) << error;
+    opts.resultCache = std::make_shared<cache::ResultCache>();
+    withJsonlService(
+        [](SolverService& service, BlockingClient& client) {
+            const std::string row = "{\"id\":\"old\",\"cache_control\":\"off\",\"formula\":\"" +
+                                    jsonEscape(kSatFormula) + "\"}\n";
+            std::string reply = roundTrip(client, row);
+            std::string verdict;
+            ASSERT_TRUE(jsonStringField(reply, "result", verdict)) << reply;
+            EXPECT_EQ(verdict, "SAT");
+            reply = roundTrip(client, row);
+            EXPECT_NE(reply.find("\"cached\":true"), std::string::npos) << reply;
+            EXPECT_EQ(reply.find("deprecated"), std::string::npos) << reply;
 
-    BlockingClient client;
-    ASSERT_TRUE(client.connect("127.0.0.1", service.httpPort(), &error)) << error;
-    const std::string body = kSatFormula;
-    ASSERT_TRUE(client.sendAll("POST /solve HTTP/1.1\r\ncache-control: off\r\n"
-                               "Content-Length: " +
-                               std::to_string(body.size()) + "\r\n\r\n" + body));
-    HttpResponseMsg rsp;
-    ASSERT_TRUE(client.readResponse(rsp));
-    EXPECT_EQ(rsp.status, 200);
-    const std::string* dep = rsp.header("deprecation");
-    ASSERT_NE(dep, nullptr) << rsp.body;
-    EXPECT_NE(dep->find("cache-control"), std::string::npos) << *dep;
-    service.stop();
+            std::string error;
+            BlockingClient http;
+            ASSERT_TRUE(http.connect("127.0.0.1", service.httpPort(), &error)) << error;
+            const std::string body = kSatFormula;
+            ASSERT_TRUE(http.sendAll("POST /solve HTTP/1.1\r\ncache-control: off\r\n"
+                                     "Content-Length: " +
+                                     std::to_string(body.size()) + "\r\n\r\n" + body));
+            HttpResponseMsg rsp;
+            ASSERT_TRUE(http.readResponse(rsp));
+            EXPECT_EQ(rsp.status, 200);
+            EXPECT_NE(rsp.body.find("\"cached\":true"), std::string::npos) << rsp.body;
+            EXPECT_EQ(rsp.header("deprecation"), nullptr) << rsp.body;
+        },
+        opts);
 }
 
 TEST(ServiceSession, OpenDeltaSolveCloseRoundTrip)
