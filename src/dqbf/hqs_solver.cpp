@@ -5,12 +5,10 @@
 #include <unordered_set>
 
 #include "src/aig/cnf_bridge.hpp"
-#include "src/aig/fraig.hpp"
 #include "src/obs/obs.hpp"
 #include "src/sat/sat_solver.hpp"
 #include "src/dqbf/dependency_graph.hpp"
 #include "src/qbf/bdd_qbf_solver.hpp"
-#include "src/qbf/search_qbf_solver.hpp"
 
 namespace hqs {
 namespace {
@@ -77,6 +75,16 @@ AigEdge composeGates(Aig& aig, AigEdge matrix, const std::vector<GateDef>& gates
 
 } // namespace
 
+PrefixOps prefixOps(DqbfFormula& f)
+{
+    return {[&f](Var v) -> std::optional<QuantKind> {
+                if (f.isExistential(v)) return QuantKind::Exists;
+                if (f.isUniversal(v)) return QuantKind::Forall;
+                return std::nullopt;
+            },
+            [&f](Var v) { f.isExistential(v) ? f.removeExistential(v) : f.removeUniversal(v); }};
+}
+
 SolveResult HqsSolver::solve(DqbfFormula f)
 {
     stats_ = HqsStats{};
@@ -136,18 +144,20 @@ SolveResult HqsSolver::solve(DqbfFormula f)
     }
 
     // ----- AIG construction -------------------------------------------------
-    AigEdge matrix;
+    AigEdge built;
     {
         OBS_PHASE(buildSpan, "hqs.build_aig", "phase.build_aig.us");
-        matrix = buildFromCnf(aig, f.matrix());
-        matrix = composeGates(aig, matrix, gates, f, rec);
+        built = buildFromCnf(aig, f.matrix());
+        built = composeGates(aig, built, gates, f, rec);
         buildSpan.arg("nodes", static_cast<std::int64_t>(aig.numNodes()));
     }
-
-    auto constantResult = [&]() {
-        return aig.constantValue(matrix) ? SolveResult::Sat : SolveResult::Unsat;
-    };
-    if (aig.isConstant(matrix)) return finish(constantResult(), "elimination");
+    // The same limits govern the main loop's kernel and the AIG backend's.
+    const ElimLimits limits{opts_.unitPure, opts_.fraig, opts_.fraigThresholdNodes,
+                            opts_.nodeLimit, opts_.deadline};
+    ElimKernel kernel(aig, built, limits, rec, stats_);
+    AigEdge& matrix = kernel.matrix();
+    const PrefixOps ops = prefixOps(f);
+    if (kernel.isConstant()) return finish(kernel.constantResult(), "elimination");
 
     // ----- selection of universals to eliminate ------------------------------
     stats_.incomparablePairs = incomparablePairs(f).size();
@@ -177,151 +187,34 @@ SolveResult HqsSolver::solve(DqbfFormula f)
     stats_.selectedUniversals = selected->size();
     std::size_t nextPick = 0;
 
-    // ----- helpers for the main loop -----------------------------------------
-    std::size_t lastFraigSize = 0;
-    auto collectGarbage = [&]() {
-        std::vector<AigEdge*> roots{&matrix};
-        if (rec) rec->appendGcRoots(roots);
-        aig.garbageCollect(std::move(roots));
-    };
-
-    // Each cofactor in the loops below leaves O(cone) garbage; without
-    // collection a long unit/pure chain multiplies memory by the number of
-    // eliminations.  Collect whenever garbage dominates.
-    auto collectIfBloated = [&]() {
-        if (aig.numNodes() > 4 * aig.coneSize(matrix) + 20000) collectGarbage();
-    };
-
-    auto housekeeping = [&]() -> SolveResult {
-        const std::size_t cone = aig.coneSize(matrix);
-        stats_.peakConeSize = std::max(stats_.peakConeSize, cone);
-        OBS_GAUGE_MAX("aig.peak_cone", cone);
-        if (opts_.deadline.expired()) return deadlineExceededResult(opts_.deadline);
-        // The node limit is a *live*-node budget.  The live cone alone
-        // over budget is a definitive memout; a pool over budget may be
-        // mostly garbage, so compact before judging (a shrinking AIG with a
-        // long allocation history must not trip the limit).
-        if (opts_.nodeLimit != 0 && cone > opts_.nodeLimit) return SolveResult::Memout;
-        if (opts_.nodeLimit != 0 && aig.numNodes() > opts_.nodeLimit) {
-            collectGarbage();
-            if (aig.numNodes() > opts_.nodeLimit) return SolveResult::Memout;
-        }
-        if (opts_.fraig && cone > opts_.fraigThresholdNodes && cone > 2 * lastFraigSize) {
-            FraigOptions fopts;
-            fopts.deadline = opts_.deadline;
-            matrix = fraigReduce(aig, matrix, fopts);
-            lastFraigSize = aig.coneSize(matrix);
-            ++stats_.fraigRuns;
-            // The sweep strands the entire pre-sweep cone as garbage.
-            if (aig.numNodes() > 2 * lastFraigSize + 1000) collectGarbage();
-        }
-        collectIfBloated();
-        return SolveResult::Unknown;
-    };
-
-    // Theorem 5 applied to Theorem-6 detections.  Returns Unsat on a
-    // universal unit, Unknown otherwise.
-    auto unitPurePass = [&]() -> SolveResult {
-        if (!opts_.unitPure) return SolveResult::Unknown;
-        OBS_PHASE(upSpan, "hqs.unit_pure", "phase.unit_pure.us");
-        Timer t;
-        bool changed = true;
-        while (changed && !aig.isConstant(matrix) && !opts_.deadline.expired()) {
-            changed = false;
-            collectIfBloated();
-            const UnitPureInfo info = aig.detectUnitPure(matrix);
-            for (const auto& [vars, positive] :
-                 {std::pair{&info.posUnit, true}, std::pair{&info.negUnit, false}}) {
-                for (Var v : *vars) {
-                    if (f.isUniversal(v)) {
-                        stats_.unitPureMilliseconds += t.elapsedMilliseconds();
-                        return SolveResult::Unsat;
-                    }
-                    if (!f.isExistential(v)) continue;
-                    if (rec) rec->record(SkolemRecorder::Constant{v, positive});
-                    matrix = aig.cofactor(matrix, v, positive);
-                    f.removeExistential(v);
-                    ++stats_.unitEliminations;
-                    OBS_COUNT("hqs.elim.unit", 1);
-                    changed = true;
-                    break;
-                }
-                if (changed) break;
-            }
-            if (changed) continue;
-            for (const auto& [vars, positive] :
-                 {std::pair{&info.posPure, true}, std::pair{&info.negPure, false}}) {
-                for (Var v : *vars) {
-                    if (f.isExistential(v)) {
-                        if (rec) rec->record(SkolemRecorder::Constant{v, positive});
-                        matrix = aig.cofactor(matrix, v, positive);
-                        f.removeExistential(v);
-                    } else if (f.isUniversal(v)) {
-                        matrix = aig.cofactor(matrix, v, !positive);
-                        f.removeUniversal(v);
-                    } else {
-                        continue;
-                    }
-                    ++stats_.pureEliminations;
-                    OBS_COUNT("hqs.elim.pure", 1);
-                    changed = true;
-                    break;
-                }
-                if (changed) break;
-            }
-        }
-        stats_.unitPureMilliseconds += t.elapsedMilliseconds();
-        return SolveResult::Unknown;
-    };
-
-    /// Remove prefix variables that no longer occur in the matrix.
-    auto dropUnsupported = [&]() {
-        const std::vector<Var> supp = aig.support(matrix);
-        const std::unordered_set<Var> suppSet(supp.begin(), supp.end());
-        for (Var y : std::vector<Var>(f.existentials())) {
-            if (!suppSet.contains(y)) {
-                if (rec) rec->record(SkolemRecorder::Constant{y, false});
-                f.removeExistential(y);
-                ++stats_.droppedUnsupported;
-            }
-        }
-        for (Var x : std::vector<Var>(f.universals())) {
-            if (!suppSet.contains(x)) {
-                f.removeUniversal(x);
-                ++stats_.droppedUnsupported;
-            }
-        }
-    };
-
     // ----- main loop (Fig. 3) -------------------------------------------------
     for (;;) {
-        if (SolveResult r = housekeeping(); r != SolveResult::Unknown)
+        if (SolveResult r = kernel.housekeeping(); r != SolveResult::Unknown)
             return finish(r, "elimination");
-        if (SolveResult r = unitPurePass(); r != SolveResult::Unknown)
-            return finish(r, "elimination");
-        if (aig.isConstant(matrix)) return finish(constantResult(), "elimination");
+        if (opts_.unitPure) {
+            OBS_PHASE(upSpan, "hqs.unit_pure", "phase.unit_pure.us");
+            if (SolveResult r = kernel.unitPurePass(ops); r != SolveResult::Unknown)
+                return finish(r, "elimination");
+        }
+        if (kernel.isConstant()) return finish(kernel.constantResult(), "elimination");
 
         // Theorem 2: eliminate existentials depending on all universals.
         {
             OBS_PHASE(exSpan, "hqs.elim_exists", "phase.elim_exists.us");
             bool eliminated = true;
-            while (eliminated && !aig.isConstant(matrix) && !opts_.deadline.expired()) {
+            while (eliminated && !kernel.isConstant() && !opts_.deadline.expired()) {
                 eliminated = false;
-                collectIfBloated();
+                kernel.collectIfBloated();
                 for (Var y : std::vector<Var>(f.existentials())) {
                     // Re-check the budget per candidate: a single cofactor
                     // pair on a huge cone can dwarf the loop-head check.
                     if (opts_.deadline.expired()) break;
                     if (!f.dependsOnAllUniversals(y)) continue;
                     if (!aig.hasVariable(y)) {
-                        if (rec) rec->record(SkolemRecorder::Constant{y, false});
-                        f.removeExistential(y);
+                        kernel.dropUnsupported(y, ops);
                         continue;
                     }
-                    const AigEdge cof0 = aig.cofactor(matrix, y, false);
-                    const AigEdge cof1 = aig.cofactor(matrix, y, true);
-                    if (rec) rec->record(SkolemRecorder::Exists{y, cof1});
-                    matrix = aig.mkOr(cof0, cof1);
+                    kernel.eliminateExists(y);
                     f.removeExistential(y);
                     ++stats_.existentialsEliminated;
                     OBS_COUNT("hqs.elim.existential", 1);
@@ -329,13 +222,20 @@ SolveResult HqsSolver::solve(DqbfFormula f)
                     // Hundreds of full-dependency auxiliaries can be
                     // eliminated in one sweep; collect the cofactor garbage
                     // as we go or memory multiplies by the sweep length.
-                    collectIfBloated();
-                    if (aig.isConstant(matrix) || opts_.deadline.expired()) break;
+                    kernel.collectIfBloated();
+                    if (kernel.isConstant() || opts_.deadline.expired()) break;
                 }
             }
         }
-        if (aig.isConstant(matrix)) return finish(constantResult(), "elimination");
-        dropUnsupported();
+        if (kernel.isConstant()) return finish(kernel.constantResult(), "elimination");
+        // Remove prefix variables that no longer occur in the matrix.
+        const std::vector<Var> supp = aig.support(matrix);
+        const std::unordered_set<Var> suppSet(supp.begin(), supp.end());
+        for (const std::vector<Var>* vars : {&f.existentials(), &f.universals()}) {
+            for (Var v : std::vector<Var>(*vars)) {
+                if (!suppSet.contains(v)) kernel.dropUnsupported(v, ops);
+            }
+        }
 
         // Done when the dependency graph is acyclic (Theorem 3/4) — except
         // in All mode, which reproduces [10] by eliminating every universal.
@@ -404,27 +304,21 @@ SolveResult HqsSolver::solve(DqbfFormula f)
             unSpan.arg("copies", copies);
             unSpan.arg("node_delta", delta);
             // The Theorem-1 rebuild strands both cofactor sources.
-            collectIfBloated();
+            kernel.collectIfBloated();
         }
     }
 
-    if (aig.isConstant(matrix)) return finish(constantResult(), "elimination");
+    if (kernel.isConstant()) return finish(kernel.constantResult(), "elimination");
 
     // ----- QBF backend on the linearized prefix -------------------------------
     OBS_PHASE(qbfSpan, "hqs.qbf_backend", "phase.qbf.us");
     OBS_COUNT("qbf.backend_calls", 1);
     stats_.usedQbfBackend = true;
     const QbfPrefix prefix = linearizePrefix(f);
-    if (opts_.backend == HqsOptions::Backend::Search && !opts_.computeSkolem) {
-        return finish(searchQbfSolve(aig, matrix, prefix, opts_.deadline), "qbf-backend");
-    }
     if (opts_.backend == HqsOptions::Backend::BddElimination && !opts_.computeSkolem) {
-        BddQbfOptions bopts;
-        bopts.deadline = opts_.deadline;
-        bopts.nodeLimit = opts_.nodeLimit;
-        BddQbfSolver backend(bopts);
+        BddQbfSolver backend(BddQbfOptions{limits.nodeLimit, limits.deadline});
         Bdd bdd;
-        bdd.setResourceLimits(bopts.nodeLimit, bopts.deadline);
+        bdd.setResourceLimits(limits.nodeLimit, limits.deadline);
         SolveResult r;
         try {
             const BddRef bddMatrix = bddFromAig(bdd, aig, matrix);
@@ -435,17 +329,11 @@ SolveResult HqsSolver::solve(DqbfFormula f)
         stats_.peakConeSize = std::max(stats_.peakConeSize, backend.stats().peakConeSize);
         return finish(r, "qbf-backend");
     }
-    AigQbfOptions qopts;
-    qopts.recorder = rec;
-    qopts.unitPure = opts_.unitPure;
-    qopts.fraig = opts_.fraig;
-    qopts.fraigThresholdNodes = opts_.fraigThresholdNodes;
-    qopts.nodeLimit = opts_.nodeLimit;
-    qopts.deadline = opts_.deadline;
-    AigQbfSolver backend(qopts);
+    AigQbfSolver backend(AigQbfOptions{limits, rec});
     const SolveResult r = backend.solve(aig, matrix, prefix);
     stats_.qbfStats = backend.stats();
     stats_.peakConeSize = std::max(stats_.peakConeSize, backend.stats().peakConeSize);
+    stats_.unitPureMilliseconds += backend.stats().unitPureMilliseconds;
     return finish(r, "qbf-backend");
 }
 

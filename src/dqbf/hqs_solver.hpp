@@ -61,17 +61,18 @@ struct HqsOptions {
     /// Backend for the linearized QBF.  BddElimination converts the AIG
     /// matrix into a ROBDD and quantifies there — the canonical-structure
     /// ablation partner of the default AIG backend.
-    enum class Backend { AigElimination, Search, BddElimination };
+    enum class Backend { AigElimination, BddElimination };
     Backend backend = Backend::AigElimination;
 
     /// Record the elimination trace and, on Sat, reconstruct Skolem
     /// functions for every original existential (retrievable via
-    /// skolemCertificate()).  Forces the AigElimination backend and keeps
-    /// cofactor snapshots alive, so it costs memory.
+    /// skolemCertificate()).  Runs the AIG backend whatever `backend` says
+    /// and keeps cofactor snapshots alive, so it costs memory.
     bool computeSkolem = false;
 };
 
-struct HqsStats {
+/// peakConeSize and unitPureMilliseconds include the QBF backend (qbfStats).
+struct HqsStats : ElimStats {
     PreprocessStats preprocess;
 
     std::size_t incomparablePairs = 0;  ///< binary cycles before selection
@@ -81,13 +82,6 @@ struct HqsStats {
     std::size_t universalsEliminated = 0;   ///< Theorem-1 eliminations
     std::size_t existentialsEliminated = 0; ///< Theorem-2 eliminations
     std::size_t copiesIntroduced = 0;       ///< fresh y' copies from Theorem 1
-    std::size_t unitEliminations = 0;
-    std::size_t pureEliminations = 0;
-    std::size_t droppedUnsupported = 0;
-    double unitPureMilliseconds = 0.0;
-
-    std::size_t peakConeSize = 0;
-    std::size_t fraigRuns = 0;
     double totalMilliseconds = 0.0;
 
     /// Snapshot of the AIG manager's kernel counters at the end of solve
@@ -99,6 +93,9 @@ struct HqsStats {
     /// Which stage concluded: "preprocess", "elimination", or "qbf-backend".
     std::string decidedBy;
 };
+
+/// PrefixOps over a DQBF prefix; @p f must outlive the result.
+PrefixOps prefixOps(DqbfFormula& f);
 
 class HqsSolver {
 public:

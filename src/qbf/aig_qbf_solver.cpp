@@ -1,6 +1,5 @@
 #include "src/qbf/aig_qbf_solver.hpp"
 
-#include <algorithm>
 #include <limits>
 #include <unordered_map>
 #include <unordered_set>
@@ -44,102 +43,20 @@ std::unordered_map<Var, std::size_t> occurrenceCounts(const Aig& aig, AigEdge ro
 
 } // namespace
 
-SolveResult AigQbfSolver::solve(Aig& aig, AigEdge matrix, QbfPrefix prefix)
+SolveResult AigQbfSolver::solve(Aig& aig, AigEdge root, QbfPrefix prefix)
 {
     OBS_SPAN(qbfSpan, "qbf.aig_eliminate");
     stats_ = AigQbfStats{};
-    std::size_t lastFraigSize = 0;
+    // A fresh kernel per solve: the FRAIG high-water mark starts at zero.
+    ElimKernel kernel(aig, root, opts_, opts_.recorder, stats_);
+    AigEdge& matrix = kernel.matrix();
+    const PrefixOps ops = prefixOps(prefix);
 
-    auto trackPeak = [&]() {
-        stats_.peakConeSize = std::max(stats_.peakConeSize, aig.coneSize(matrix));
-    };
+    kernel.trackPeak();
+    if (SolveResult r = kernel.unitPurePass(ops); r != SolveResult::Unknown) return r;
 
-    auto collectGarbage = [&]() {
-        std::vector<AigEdge*> roots{&matrix};
-        if (opts_.recorder) opts_.recorder->appendGcRoots(roots);
-        aig.garbageCollect(std::move(roots));
-    };
-
-    // Returns Unknown to continue, or a final resource-limit result.
-    auto housekeeping = [&]() -> SolveResult {
-        const std::size_t cone = aig.coneSize(matrix);
-        stats_.peakConeSize = std::max(stats_.peakConeSize, cone);
-        if (opts_.deadline.expired()) return deadlineExceededResult(opts_.deadline);
-        // nodeLimit is a *live*-node budget: the cone is a lower bound on
-        // live nodes, so an oversized cone is an immediate memout, while a
-        // bloated pool gets one garbage collection before the verdict.
-        if (opts_.nodeLimit != 0 && cone > opts_.nodeLimit) return SolveResult::Memout;
-        if (opts_.nodeLimit != 0 && aig.numNodes() > opts_.nodeLimit) {
-            collectGarbage();
-            if (aig.numNodes() > opts_.nodeLimit) return SolveResult::Memout;
-        }
-        if (opts_.fraig && cone > opts_.fraigThresholdNodes && cone > 2 * lastFraigSize) {
-            FraigOptions fopts;
-            fopts.deadline = opts_.deadline;
-            matrix = fraigReduce(aig, matrix, fopts);
-            lastFraigSize = aig.coneSize(matrix);
-            ++stats_.fraigRuns;
-            // FRAIG merges strand the losing cones; reclaim them eagerly.
-            if (aig.numNodes() > 2 * lastFraigSize + 1000) collectGarbage();
-        }
-        if (aig.numNodes() > 4 * aig.coneSize(matrix) + 20000) collectGarbage();
-        return SolveResult::Unknown;
-    };
-
-    // Theorem-5 applications of the Theorem-6 syntactic detection; returns
-    // Unsat when a universal unit is found, Unknown otherwise.
-    auto unitPurePass = [&]() -> SolveResult {
-        if (!opts_.unitPure) return SolveResult::Unknown;
-        bool changed = true;
-        while (changed && !aig.isConstant(matrix) && !opts_.deadline.expired()) {
-            changed = false;
-            if (aig.numNodes() > 4 * aig.coneSize(matrix) + 20000) collectGarbage();
-            const UnitPureInfo info = aig.detectUnitPure(matrix);
-            // Units first: a universal unit decides the formula.
-            for (const auto& [vars, positive] :
-                 {std::pair{&info.posUnit, true}, std::pair{&info.negUnit, false}}) {
-                for (Var v : *vars) {
-                    if (!prefix.contains(v)) continue;
-                    if (prefix.kindOf(v) == QuantKind::Forall) return SolveResult::Unsat;
-                    if (opts_.recorder) {
-                        opts_.recorder->record(SkolemRecorder::Constant{v, positive});
-                    }
-                    matrix = aig.cofactor(matrix, v, positive);
-                    prefix.removeVar(v);
-                    ++stats_.unitEliminations;
-                    changed = true;
-                    break;
-                }
-                if (changed) break;
-            }
-            if (changed) continue;
-            for (const auto& [vars, positive] :
-                 {std::pair{&info.posPure, true}, std::pair{&info.negPure, false}}) {
-                for (Var v : *vars) {
-                    if (!prefix.contains(v)) continue;
-                    const bool existential = prefix.kindOf(v) == QuantKind::Exists;
-                    // Existential pure: keep the helpful cofactor; universal
-                    // pure: the adversary picks the harmful one.
-                    if (existential && opts_.recorder) {
-                        opts_.recorder->record(SkolemRecorder::Constant{v, positive});
-                    }
-                    matrix = aig.cofactor(matrix, v, existential == positive);
-                    prefix.removeVar(v);
-                    ++stats_.pureEliminations;
-                    changed = true;
-                    break;
-                }
-                if (changed) break;
-            }
-        }
-        return SolveResult::Unknown;
-    };
-
-    trackPeak();
-    if (SolveResult r = unitPurePass(); r != SolveResult::Unknown) return r;
-
-    while (!prefix.empty() && !aig.isConstant(matrix)) {
-        if (SolveResult r = housekeeping(); r != SolveResult::Unknown) return r;
+    while (!prefix.empty() && !kernel.isConstant()) {
+        if (SolveResult r = kernel.housekeeping(); r != SolveResult::Unknown) return r;
 
         const QbfBlock& block = prefix.blocks().back();
         const auto counts = occurrenceCounts(aig, matrix);
@@ -158,42 +75,25 @@ SolveResult AigQbfSolver::solve(Aig& aig, AigEdge matrix, QbfPrefix prefix)
                 pick = v;
             }
         }
-        for (Var v : unsupported) {
-            if (opts_.recorder && prefix.kindOf(v) == QuantKind::Exists) {
-                opts_.recorder->record(SkolemRecorder::Constant{v, false});
-            }
-            prefix.removeVar(v);
-            ++stats_.droppedUnsupported;
-        }
+        for (Var v : unsupported) kernel.dropUnsupported(v, ops);
         if (pick == kNoVar) continue; // whole block vanished
 
-        const QuantKind kind = prefix.kindOf(pick);
-        if (kind == QuantKind::Exists) {
-            const AigEdge cof0 = aig.cofactor(matrix, pick, false);
-            const AigEdge cof1 = aig.cofactor(matrix, pick, true);
-            if (opts_.recorder) {
-                opts_.recorder->record(SkolemRecorder::Exists{pick, cof1});
-            }
-            matrix = aig.mkOr(cof0, cof1);
-        } else {
-            matrix = aig.forallVar(matrix, pick);
-        }
-        prefix.removeVar(pick);
-        if (kind == QuantKind::Exists) {
+        if (prefix.kindOf(pick) == QuantKind::Exists) {
+            kernel.eliminateExists(pick);
             ++stats_.existentialEliminations;
             OBS_COUNT("qbf.elim.existential", 1);
         } else {
+            matrix = aig.forallVar(matrix, pick);
             ++stats_.universalEliminations;
             OBS_COUNT("qbf.elim.universal", 1);
         }
-        trackPeak();
+        prefix.removeVar(pick);
+        kernel.trackPeak();
 
-        if (SolveResult r = unitPurePass(); r != SolveResult::Unknown) return r;
+        if (SolveResult r = kernel.unitPurePass(ops); r != SolveResult::Unknown) return r;
     }
 
-    if (aig.isConstant(matrix)) {
-        return aig.constantValue(matrix) ? SolveResult::Sat : SolveResult::Unsat;
-    }
+    if (kernel.isConstant()) return kernel.constantResult();
     // Prefix exhausted, non-constant matrix: remaining support variables are
     // free, i.e. outermost existentials — a non-constant function is
     // satisfiable.  For Skolem tracking, pin them to values from a model.

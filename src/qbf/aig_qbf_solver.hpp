@@ -3,8 +3,8 @@
 //
 // The solver repeatedly eliminates variables of the innermost block
 // (∃v.phi = phi[0/v] | phi[1/v], ∀v.phi = phi[0/v] & phi[1/v]), interleaved
-// with the same Theorem-5/6 unit & pure eliminations the DQBF loop uses,
-// FRAIG sweeping to keep the AIG small, and garbage collection.  The matrix
+// with the Theorem-5/6 unit & pure eliminations, FRAIG sweeping and garbage
+// collection of the DQBF loop: both loops run on ElimKernel.  The matrix
 // lives in a caller-provided Aig manager, so HQS can "feed the remaining AIG
 // directly into this solver" exactly as the paper describes.
 #pragma once
@@ -12,40 +12,22 @@
 #include <cstddef>
 
 #include "src/aig/aig.hpp"
-#include "src/aig/fraig.hpp"
 #include "src/base/result.hpp"
-#include "src/base/timer.hpp"
+#include "src/qbf/elim_kernel.hpp"
 #include "src/qbf/qbf_prefix.hpp"
 
 namespace hqs {
 
-class SkolemRecorder;
-
-struct AigQbfOptions {
-    /// Detect & eliminate unit/pure variables between eliminations.
-    bool unitPure = true;
-    /// Run FRAIG SAT sweeping when the matrix cone grows beyond the
-    /// threshold (and has doubled since the last sweep).
-    bool fraig = true;
-    std::size_t fraigThresholdNodes = 10000;
-    /// Live-AIG-node budget (0 = unlimited), the proxy for the paper's 8 GB
-    /// memory limit.  Checked against the matrix cone and — after a garbage
-    /// collection — the node pool, so stranded allocations never trip it.
-    std::size_t nodeLimit = 0;
-    Deadline deadline = Deadline::unlimited();
+/// The backend's options are the kernel's limits plus the Skolem recorder.
+struct AigQbfOptions : ElimLimits {
     /// When set, existential eliminations are logged for Skolem
     /// reconstruction (see src/dqbf/skolem_recorder.hpp).
     SkolemRecorder* recorder = nullptr;
 };
 
-struct AigQbfStats {
+struct AigQbfStats : ElimStats {
     std::size_t existentialEliminations = 0;
     std::size_t universalEliminations = 0;
-    std::size_t unitEliminations = 0;
-    std::size_t pureEliminations = 0;
-    std::size_t droppedUnsupported = 0; ///< prefix vars absent from the matrix
-    std::size_t fraigRuns = 0;
-    std::size_t peakConeSize = 0;
 };
 
 class AigQbfSolver {

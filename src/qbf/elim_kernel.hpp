@@ -1,0 +1,103 @@
+// The elimination kernel shared by the HQS main loop (Fig. 3) and the AIG
+// QBF backend it hands the linearized AIG to.  It owns the matrix edge in
+// the caller's Aig manager (a GC root), the optional Skolem recorder, the
+// limits and the FRAIG schedule; the caller's prefix (DQBF or linear QBF)
+// reaches it through PrefixOps.
+#pragma once
+
+#include <cstddef>
+#include <functional>
+#include <optional>
+
+#include "src/aig/aig.hpp"
+#include "src/base/result.hpp"
+#include "src/base/timer.hpp"
+#include "src/qbf/qbf_prefix.hpp"
+
+namespace hqs {
+
+class SkolemRecorder;
+
+struct ElimLimits {
+    /// Detect & eliminate unit/pure variables between eliminations.
+    bool unitPure = true;
+    /// Run FRAIG SAT sweeping when the matrix cone grows beyond the
+    /// threshold (and has doubled since the last sweep).
+    bool fraig = true;
+    std::size_t fraigThresholdNodes = 10000;
+    /// Live-AIG-node budget (0 = unlimited), the proxy for the paper's 8 GB
+    /// memory limit.  Checked against the matrix cone and — after a garbage
+    /// collection — the node pool, so stranded allocations never trip it.
+    std::size_t nodeLimit = 0;
+    Deadline deadline = Deadline::unlimited();
+};
+
+/// The counters the kernel keeps; both solvers' statistics extend it.
+struct ElimStats {
+    std::size_t unitEliminations = 0;
+    std::size_t pureEliminations = 0;
+    std::size_t droppedUnsupported = 0; ///< prefix vars absent from the matrix
+    double unitPureMilliseconds = 0.0;
+    std::size_t fraigRuns = 0;
+    std::size_t peakConeSize = 0;
+};
+
+/// The caller's prefix as the kernel sees it: "how is v quantified now"
+/// (nullopt once v has left the prefix) and "remove v".
+struct PrefixOps {
+    std::function<std::optional<QuantKind>(Var)> kindOf;
+    std::function<void(Var)> remove;
+};
+
+/// PrefixOps over a linear QBF prefix; @p prefix must outlive the result.
+PrefixOps prefixOps(QbfPrefix& prefix);
+
+class ElimKernel {
+public:
+    /// @p recorder (optional) and @p stats must outlive the kernel.
+    ElimKernel(Aig& aig, AigEdge matrix, const ElimLimits& limits, SkolemRecorder* recorder,
+               ElimStats& stats)
+        : aig_(aig), matrix_(matrix), limits_(limits), recorder_(recorder), stats_(stats)
+    {
+    }
+
+    AigEdge& matrix() { return matrix_; }
+    bool isConstant() const { return aig_.isConstant(matrix_); }
+    /// Precondition: isConstant().
+    SolveResult constantResult() const
+    {
+        return aig_.constantValue(matrix_) ? SolveResult::Sat : SolveResult::Unsat;
+    }
+
+    /// Fold the matrix cone into peakConeSize and the `aig.peak_cone` gauge;
+    /// returns the cone size.
+    std::size_t trackPeak();
+    /// Between eliminations: peak, deadline, node budget, FRAIG, GC.
+    /// Unknown to continue, else the final resource-limit result.
+    SolveResult housekeeping();
+    /// Each cofactor leaves O(cone) garbage; collect when it dominates.
+    void collectIfBloated();
+
+    /// Theorem 5 on Theorem-6 detections, one variable at a time, to a
+    /// fixpoint.  Unsat on a universal unit, Unknown otherwise.
+    SolveResult unitPurePass(const PrefixOps& prefix);
+    /// ∃v.phi = phi[0/v] | phi[1/v], recording phi[1/v] for Skolem
+    /// reconstruction.  The caller removes @p v from its prefix.
+    void eliminateExists(Var v);
+    /// Remove @p v, absent from the matrix, from the prefix; an existential
+    /// is pinned to false in the Skolem trace.
+    void dropUnsupported(Var v, const PrefixOps& prefix);
+
+private:
+    /// Mark-compact, keeping the matrix and the recorder's cofactors.
+    void collectGarbage();
+
+    Aig& aig_;
+    AigEdge matrix_;
+    ElimLimits limits_;
+    SkolemRecorder* recorder_;
+    ElimStats& stats_;
+    std::size_t lastFraigSize_ = 0; ///< FRAIG high-water mark
+};
+
+} // namespace hqs

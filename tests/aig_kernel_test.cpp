@@ -2,11 +2,14 @@
 // open-addressing strash, the generation-stamped traversal cache, the
 // compose/cofactor operation cache, mark-compact garbage collection,
 // cross-manager importCone, and the live-node budget semantics built on top
-// of them.  Substitute/cofactor results are checked two ways: point-wise
+// of them, and the elimination kernel the HQS main loop and the AIG QBF
+// backend share.  Substitute/cofactor results are checked two ways: point-wise
 // against semantic evaluation over every assignment, and via SAT equivalence
 // through the CNF bridge.
 #include <gtest/gtest.h>
 
+#include <tuple>
+#include <variant>
 #include <vector>
 
 #include "src/aig/aig.hpp"
@@ -14,7 +17,9 @@
 #include "src/base/rng.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
+#include "src/obs/obs.hpp"
 #include "src/qbf/aig_qbf_solver.hpp"
+#include "src/qbf/elim_kernel.hpp"
 #include "src/sat/sat_solver.hpp"
 
 namespace hqs {
@@ -380,6 +385,153 @@ TEST(AigKernel, NodeLimitStillTripsOnOversizedLiveCone)
     opts.unitPure = false; // units would legitimately shrink the cone
     AigQbfSolver solver(opts);
     EXPECT_EQ(solver.solve(aig, matrix, prefix), SolveResult::Memout);
+}
+
+// ------------------------------------------ shared elimination kernel -----
+
+/// Skolem records as comparable tuples (kind, var, value, cofactor).
+using Trace = std::vector<std::tuple<std::size_t, Var, bool, AigEdge>>;
+
+Trace traceOf(const Aig& aig, const SkolemRecorder& rec)
+{
+    Trace t;
+    for (const SkolemRecorder::Record& r : rec.records()) {
+        if (const auto* c = std::get_if<SkolemRecorder::Constant>(&r)) {
+            t.emplace_back(r.index(), c->var, c->value, aig.constFalse());
+        } else if (const auto* e = std::get_if<SkolemRecorder::Exists>(&r)) {
+            t.emplace_back(r.index(), e->var, false, e->cofactor1);
+        } else {
+            t.emplace_back(r.index(), kNoVar, false, aig.constFalse());
+        }
+    }
+    return t;
+}
+
+struct KernelRun {
+    SolveResult result;
+    AigEdge matrix;
+    Trace trace;
+};
+
+/// The unit/pure pass to its fixpoint, then (unless it decided) the
+/// existential step on @p exists.
+KernelRun runKernel(Aig& aig, AigEdge root, const PrefixOps& ops, Var exists)
+{
+    ElimStats stats;
+    SkolemRecorder rec;
+    ElimKernel kernel(aig, root, ElimLimits{}, &rec, stats);
+    const SolveResult r = kernel.unitPurePass(ops);
+    if (r == SolveResult::Unknown) {
+        kernel.eliminateExists(exists);
+        ops.remove(exists);
+    }
+    return {r, kernel.matrix(), traceOf(aig, rec)};
+}
+
+AigEdge clause(Aig& aig, std::initializer_list<AigEdge> lits)
+{
+    AigEdge c = aig.constFalse();
+    for (AigEdge l : lits) c = aig.mkOr(c, l);
+    return c;
+}
+
+TEST(AigKernel, DqbfAndQbfPrefixesDriveTheKernelIdentically)
+{
+    // x0, x1 universal; y2(x0), y5(x0), y3(x0,x1), y4(x0,x1) — the DQBF
+    // whose equivalent linear prefix is  forall x0 exists y2 y5 forall x1
+    // exists y3 y4.
+    DqbfFormula f;
+    const Var x0 = f.addUniversal();
+    const Var x1 = f.addUniversal();
+    const Var y2 = f.addExistential({x0});
+    const Var y3 = f.addExistential({x0, x1});
+    const Var y4 = f.addExistential({x0, x1});
+    const Var y5 = f.addExistential({x0});
+    QbfPrefix q;
+    q.addBlock(QuantKind::Forall, {x0});
+    q.addBlock(QuantKind::Exists, {y2, y5});
+    q.addBlock(QuantKind::Forall, {x1});
+    q.addBlock(QuantKind::Exists, {y3, y4});
+
+    Aig aig;
+    auto lit = [&aig](Var v, bool positive) { return aig.variable(v) ^ !positive; };
+    // y2 is a negative unit, y5 is pure positive; y3 and y4 occur in both
+    // polarities, so the pass stops with y3 left for the existential step.
+    AigEdge root = lit(y2, false);
+    root = aig.mkAnd(root, clause(aig, {lit(y3, true), lit(x0, true)}));
+    root = aig.mkAnd(root, clause(aig, {lit(y3, false), lit(x1, true)}));
+    root = aig.mkAnd(root, clause(aig, {lit(y4, true), lit(x0, false), lit(x1, false)}));
+    root = aig.mkAnd(root, clause(aig, {lit(y4, false), lit(x0, true), lit(x1, false)}));
+    root = aig.mkAnd(root, clause(aig, {lit(y5, true), lit(y4, true), lit(x1, true)}));
+
+    const KernelRun viaDqbf = runKernel(aig, root, prefixOps(f), y3);
+    const KernelRun viaQbf = runKernel(aig, root, prefixOps(q), y3);
+    ASSERT_EQ(viaDqbf.result, SolveResult::Unknown);
+    ASSERT_EQ(viaQbf.result, SolveResult::Unknown);
+    EXPECT_FALSE(aig.isConstant(viaDqbf.matrix));
+    EXPECT_EQ(viaDqbf.matrix, viaQbf.matrix);
+    ASSERT_EQ(viaDqbf.trace.size(), 3u); // y2 unit, y5 pure, y3 exists
+    EXPECT_EQ(viaDqbf.trace, viaQbf.trace);
+    EXPECT_FALSE(f.isExistential(y2) || f.isExistential(y3) || f.isExistential(y5));
+    EXPECT_FALSE(q.contains(y2) || q.contains(y3) || q.contains(y5));
+
+    // A universal unit decides both.
+    DqbfFormula g;
+    const Var gx = g.addUniversal();
+    const Var gy = g.addExistential({gx});
+    QbfPrefix gq;
+    gq.addBlock(QuantKind::Forall, {gx});
+    gq.addBlock(QuantKind::Exists, {gy});
+    const AigEdge unit = aig.mkAnd(lit(gx, true), clause(aig, {lit(gy, true), lit(gx, false)}));
+    EXPECT_EQ(runKernel(aig, unit, prefixOps(g), gy).result, SolveResult::Unsat);
+    EXPECT_EQ(runKernel(aig, unit, prefixOps(gq), gy).result, SolveResult::Unsat);
+}
+
+TEST(AigKernel, BackendEliminationsReachTheRegistry)
+{
+    // forall x0 x1 exists y2(x0): the clauses on x1 make y2 a unit only
+    // once the backend has eliminated x1, and x0 then becomes a universal
+    // unit.  The padding chain (y_i xor y_i+1 over existentials that see
+    // only x0) sits above them in the AIG's clause spine, so the backend's
+    // universal step copies the spine and grows the cone past the main
+    // loop's peak.
+    DqbfFormula f;
+    const Var x0 = f.addUniversal();
+    const Var x1 = f.addUniversal();
+    const Var y2 = f.addExistential({x0});
+    auto add = [&f](std::initializer_list<Lit> lits) {
+        Clause c;
+        for (Lit l : lits) c.push(l);
+        f.matrix().addClause(std::move(c));
+    };
+    add({Lit::neg(x1), Lit::pos(y2)});
+    add({Lit::pos(x1), Lit::neg(y2), Lit::pos(x0)});
+    add({Lit::pos(x1), Lit::pos(y2), Lit::neg(x0)});
+    Var prev = f.addExistential({x0});
+    for (int i = 0; i < 12; ++i) {
+        const Var next = f.addExistential({x0});
+        add({Lit::pos(prev), Lit::pos(next)});
+        add({Lit::neg(prev), Lit::neg(next)});
+        prev = next;
+    }
+
+    HqsOptions opts;
+    opts.preprocess = false; // universal reduction would decide it up front
+    HqsSolver solver(opts);
+    obs::MetricScope scope;
+    EXPECT_EQ(solver.solve(f), SolveResult::Unsat);
+    const HqsStats& st = solver.stats();
+    ASSERT_EQ(st.decidedBy, "qbf-backend");
+    ASSERT_GT(st.qbfStats.unitEliminations + st.qbfStats.pureEliminations, 0u);
+
+    auto value = [&scope](const char* name, obs::MetricKind kind) {
+        return static_cast<std::size_t>(scope.value(obs::metric(name, kind)));
+    };
+    EXPECT_EQ(value("hqs.elim.unit", obs::MetricKind::Counter) +
+                  value("hqs.elim.pure", obs::MetricKind::Counter),
+              st.unitEliminations + st.pureEliminations + st.qbfStats.unitEliminations +
+                  st.qbfStats.pureEliminations);
+    EXPECT_EQ(value("aig.peak_cone", obs::MetricKind::Gauge), st.peakConeSize);
 }
 
 } // namespace

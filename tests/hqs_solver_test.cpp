@@ -244,8 +244,6 @@ TEST_P(HqsAgreement, MatchesExpansionOracleUnderAllConfigurations)
                                HqsOptions::Backend::AigElimination)},
         {"eliminate-all", makeOptions(true, true, HqsOptions::Selection::All,
                                       HqsOptions::Backend::AigElimination)},
-        {"search-backend", makeOptions(true, true, HqsOptions::Selection::MaxSat,
-                                       HqsOptions::Backend::Search)},
         {"bdd-backend", makeOptions(true, true, HqsOptions::Selection::MaxSat,
                                     HqsOptions::Backend::BddElimination)},
         {"bdd-backend-bare", makeOptions(false, false, HqsOptions::Selection::MaxSat,

@@ -7,6 +7,7 @@
 // the PEC families for an instance the solver cannot finish in 100 ms and
 // skips (rather than flakes) if every probe solves instantly.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -387,8 +388,10 @@ TEST(Batch, PortfolioModeReportsTheWinner)
 
 TEST(Batch, ParseFailureIsReportedNotThrown)
 {
+    // Per-process name: ctest runs the plain, tsan/ and asan/ copies at once.
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "hqs_batch_parse_test";
+        std::filesystem::temp_directory_path() /
+        ("hqs_batch_parse_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir);
     const std::filesystem::path bad = dir / "bad.dqdimacs";
     std::ofstream(bad) << "p cnf not-a-number\n";
@@ -406,8 +409,10 @@ TEST(Batch, ParseFailureIsReportedNotThrown)
 TEST(Batch, MemoutWalksTheWholeLadderWithDegradedConfigs)
 {
     if (!hardFormula()) GTEST_SKIP() << "no instance slow enough on this machine";
+    // Per-process name: ctest runs the plain, tsan/ and asan/ copies at once.
     const std::filesystem::path dir =
-        std::filesystem::temp_directory_path() / "hqs_batch_memout_test";
+        std::filesystem::temp_directory_path() /
+        ("hqs_batch_memout_test_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir);
     const std::filesystem::path file = dir / "hard.dqdimacs";
     {
