@@ -1,7 +1,7 @@
 // Microbenchmarks (google-benchmark) for the substrates: AIG construction
 // and quantification, the dense strash hit path, Substitution-based
 // composition, mark-and-compact garbage collection, the Theorem-6
-// unit/pure traversal, FRAIG sweeping, the CDCL SAT solver, the partial
+// unit/pure traversal and the kernel's batched unit/pure pass, FRAIG sweeping, the CDCL SAT solver, the partial
 // MaxSAT selection, the end-to-end PEC encoding, and the disarmed cost of
 // the fault/observability hooks.
 //
@@ -28,6 +28,7 @@
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
 #include "src/pec/pec_encoder.hpp"
+#include "src/qbf/elim_kernel.hpp"
 #include "src/sat/sat_solver.hpp"
 
 namespace hqs {
@@ -157,6 +158,34 @@ void BM_UnitPureDetection(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_UnitPureDetection)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_UnitPureBatch(benchmark::State& state)
+{
+    // (a xor b) & AND_i (p_i | (a xor c_i)) with N pure p_i through
+    // ElimKernel::unitPurePass: one detection fixes all N, a second finds
+    // nothing left.
+    const auto n = static_cast<Var>(state.range(0));
+    for (auto _ : state) {
+        state.PauseTiming();
+        Aig aig;
+        QbfPrefix prefix;
+        std::vector<Var> vars;
+        for (Var v = 0; v < 2 + 2 * n; ++v) vars.push_back(v);
+        prefix.addBlock(QuantKind::Exists, std::move(vars));
+        const AigEdge a = aig.variable(0);
+        AigEdge root = aig.mkXor(a, aig.variable(1));
+        for (Var i = 0; i < n; ++i) {
+            root = aig.mkAnd(root, aig.mkOr(aig.variable(2 + i),
+                                            aig.mkXor(a, aig.variable(2 + n + i))));
+        }
+        ElimStats stats;
+        state.ResumeTiming();
+        ElimKernel kernel(aig, root, ElimLimits{}, nullptr, stats);
+        benchmark::DoNotOptimize(kernel.unitPurePass(prefixOps(prefix)));
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_UnitPureBatch)->Arg(64)->Arg(512);
 
 void BM_FraigReduce(benchmark::State& state)
 {

@@ -74,14 +74,25 @@ private:
     std::uint32_t code_;
 };
 
-/// Per-variable unit/pure classification from the Theorem-6 AIG traversal.
-/// A variable can be unit and pure at the same time; variables outside the
-/// cone's support are reported in `unused`.
+/// Per-variable unit/pure classification from the Theorem-6 AIG traversal,
+/// plus the cone statistics the same walk sees.  A variable can be unit and
+/// pure at the same time.
 struct UnitPureInfo {
     std::vector<Var> posUnit;
     std::vector<Var> negUnit;
     std::vector<Var> posPure;
     std::vector<Var> negPure;
+    /// AND nodes in the cone (what Aig::coneSize reports).
+    std::size_t coneSize = 0;
+    /// Indexed by Var: the number of AND nodes in the cone with v as a
+    /// fanin (1 for a root that is v's input itself); 0 = outside the
+    /// support.  Sized to the largest occurring variable + 1.
+    std::vector<std::uint32_t> occurrences;
+
+    std::uint32_t occurrencesOf(Var v) const
+    {
+        return v < occurrences.size() ? occurrences[v] : 0;
+    }
 };
 
 /// Reusable simultaneous-substitution map Var -> AigEdge for
@@ -232,7 +243,8 @@ public:
     std::uint64_t simulate(AigEdge root, const std::unordered_map<Var, std::uint64_t>& inputWords) const;
 
     // ----- unit/pure detection (unit_pure.cpp) -----------------------------
-    /// Syntactic unit/pure classification of Theorem 6, O(cone + vars).
+    /// Syntactic unit/pure classification of Theorem 6, with the cone size
+    /// and per-variable occurrence counts, in one O(cone + vars) walk.
     UnitPureInfo detectUnitPure(AigEdge root) const;
 
     // ----- garbage collection ----------------------------------------------

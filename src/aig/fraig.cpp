@@ -119,6 +119,7 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
     fault::checkpointAlloc("fraig");
     FraigStats localStats;
     FraigStats& st = stats ? *stats : localStats;
+    const FraigStats before = st; // the registry gets this sweep's deltas
     if (aig.isConstant(root) || aig.isInput(root)) return root;
     OBS_PHASE(fraigSpan, "hqs.fraig", "phase.fraig.us");
     OBS_COUNT("fraig.runs", 1);
@@ -229,7 +230,10 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         rebuilt[idx] = merged;
     }
     const AigEdge result = rebuilt[rootIdx] ^ root.complemented();
-    OBS_COUNT("fraig.merged", static_cast<std::int64_t>(st.merged));
+    OBS_COUNT("fraig.candidates", static_cast<std::int64_t>(st.candidates - before.candidates));
+    OBS_COUNT("fraig.merged", static_cast<std::int64_t>(st.merged - before.merged));
+    OBS_COUNT("fraig.refuted", static_cast<std::int64_t>(st.refuted - before.refuted));
+    OBS_COUNT("fraig.timed_out", static_cast<std::int64_t>(st.timedOut - before.timedOut));
     const std::size_t coneAfter = aig.coneSize(result);
     if (coneBefore > 0 && coneAfter <= coneBefore) {
         const std::int64_t permille =

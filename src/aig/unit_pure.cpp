@@ -12,9 +12,11 @@
 //     edge (the "only negation right at the variable" case)
 //   * positive pure  iff reachEven and not reachOdd
 //   * negative pure  iff reachOdd  and not reachEven
+// The same sweep counts the cone's AND nodes and, per variable, the AND
+// nodes that read it as a fanin, so callers that need the cone size or the
+// support do not walk the cone again.
 // Cost: O(|phi| + |V|), as stated in the paper.  The per-node flags live
-// as bits in the manager's generation-stamped TraversalCache, so the sweep
-// allocates nothing.
+// as bits in the manager's generation-stamped TraversalCache.
 #include "src/aig/aig.hpp"
 
 namespace hqs {
@@ -33,6 +35,11 @@ UnitPureInfo Aig::detectUnitPure(AigEdge root) const
 
     const std::uint32_t rootIdx = root.nodeIndex();
     trav_.reset(nodes_.size());
+    auto occurs = [&info](Var v) {
+        if (v >= info.occurrences.size()) info.occurrences.resize(v + 1, 0);
+        ++info.occurrences[v];
+    };
+    if (nodes_[rootIdx].extVar != kNoVar) occurs(nodes_[rootIdx].extVar);
 
     if (root.complemented()) {
         std::uint64_t bits = kReachOdd;
@@ -56,9 +63,11 @@ UnitPureInfo Aig::detectUnitPure(AigEdge root) const
             if ((bits & kReachOdd) && !(bits & kReachEven)) info.negPure.push_back(v);
             continue;
         }
+        ++info.coneSize;
         for (const AigEdge f : {n.fanin0, n.fanin1}) {
             const std::uint32_t child = f.nodeIndex();
             if (child == 0) continue; // constant
+            if (nodes_[child].extVar != kNoVar) occurs(nodes_[child].extVar);
             std::uint64_t childBits = 0;
             if (f.complemented()) {
                 if (bits & kReachEven) childBits |= kReachOdd;

@@ -69,6 +69,9 @@ public:
         return Clock::now() >= expiry_;
     }
 
+    /// Does this deadline carry a CancelToken (fired or not)?
+    bool hasCancel() const { return cancel_ != nullptr; }
+
     /// Expired specifically because an attached CancelToken fired (the time
     /// budget may or may not also be gone).
     bool cancelled() const

@@ -229,11 +229,10 @@ SolveResult HqsSolver::solve(DqbfFormula f)
         }
         if (kernel.isConstant()) return finish(kernel.constantResult(), "elimination");
         // Remove prefix variables that no longer occur in the matrix.
-        const std::vector<Var> supp = aig.support(matrix);
-        const std::unordered_set<Var> suppSet(supp.begin(), supp.end());
+        const UnitPureInfo& scan = kernel.scan();
         for (const std::vector<Var>* vars : {&f.existentials(), &f.universals()}) {
             for (Var v : std::vector<Var>(*vars)) {
-                if (!suppSet.contains(v)) kernel.dropUnsupported(v, ops);
+                if (scan.occurrencesOf(v) == 0) kernel.dropUnsupported(v, ops);
             }
         }
 

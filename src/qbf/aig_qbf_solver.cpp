@@ -1,8 +1,7 @@
 #include "src/qbf/aig_qbf_solver.hpp"
 
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
+#include <vector>
 
 #include "src/aig/cnf_bridge.hpp"
 #include "src/dqbf/skolem_recorder.hpp"
@@ -10,38 +9,6 @@
 #include "src/sat/sat_solver.hpp"
 
 namespace hqs {
-namespace {
-
-/// Occurrence count (number of AND-node fanin references) of every variable
-/// in the cone of @p root.  Variables with no entry do not occur.
-std::unordered_map<Var, std::size_t> occurrenceCounts(const Aig& aig, AigEdge root)
-{
-    std::unordered_map<Var, std::size_t> counts;
-    if (aig.isConstant(root)) return counts;
-    if (aig.isInput(root)) {
-        counts[aig.inputVariable(root)] = 1;
-        return counts;
-    }
-    std::unordered_set<std::uint32_t> visited;
-    std::vector<AigEdge> stack{root};
-    while (!stack.empty()) {
-        const AigEdge e = stack.back();
-        stack.pop_back();
-        if (!visited.insert(e.nodeIndex()).second) continue;
-        if (!aig.isAnd(e)) continue;
-        for (const AigEdge f : {aig.fanin0(e), aig.fanin1(e)}) {
-            if (aig.isConstant(f)) continue;
-            if (aig.isInput(f)) {
-                ++counts[aig.inputVariable(f)];
-            } else {
-                stack.push_back(f);
-            }
-        }
-    }
-    return counts;
-}
-
-} // namespace
 
 SolveResult AigQbfSolver::solve(Aig& aig, AigEdge root, QbfPrefix prefix)
 {
@@ -59,19 +26,19 @@ SolveResult AigQbfSolver::solve(Aig& aig, AigEdge root, QbfPrefix prefix)
         if (SolveResult r = kernel.housekeeping(); r != SolveResult::Unknown) return r;
 
         const QbfBlock& block = prefix.blocks().back();
-        const auto counts = occurrenceCounts(aig, matrix);
+        const UnitPureInfo& scan = kernel.scan();
 
         // Drop block variables that no longer occur; pick the cheapest
         // occurring one.
         Var pick = kNoVar;
-        std::size_t best = std::numeric_limits<std::size_t>::max();
+        std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
         std::vector<Var> unsupported;
         for (Var v : block.vars) {
-            auto it = counts.find(v);
-            if (it == counts.end()) {
+            const std::uint32_t count = scan.occurrencesOf(v);
+            if (count == 0) {
                 unsupported.push_back(v);
-            } else if (it->second < best) {
-                best = it->second;
+            } else if (count < best) {
+                best = count;
                 pick = v;
             }
         }

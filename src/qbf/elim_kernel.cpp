@@ -18,9 +18,20 @@ PrefixOps prefixOps(QbfPrefix& prefix)
             [&prefix](Var v) { prefix.removeVar(v); }};
 }
 
+const UnitPureInfo& ElimKernel::scan()
+{
+    if (!scanCurrent()) {
+        scan_ = aig_.detectUnitPure(matrix_);
+        scanEdge_ = matrix_;
+        scanGcRun_ = aig_.kernelStats().gcRuns;
+        ++stats_.scans;
+    }
+    return scan_;
+}
+
 std::size_t ElimKernel::trackPeak()
 {
-    const std::size_t cone = aig_.coneSize(matrix_);
+    const std::size_t cone = scan().coneSize;
     stats_.peakConeSize = std::max(stats_.peakConeSize, cone);
     OBS_GAUGE_MAX("aig.peak_cone", cone);
     return cone;
@@ -28,14 +39,21 @@ std::size_t ElimKernel::trackPeak()
 
 void ElimKernel::collectGarbage()
 {
+    // Compaction renumbers the matrix cone without changing its shape or
+    // node order, so a scan of it carries over under the new key.
+    const bool rekey = scanCurrent();
     std::vector<AigEdge*> roots{&matrix_};
     if (recorder_) recorder_->appendGcRoots(roots);
     aig_.garbageCollect(std::move(roots));
+    if (rekey) {
+        scanEdge_ = matrix_;
+        scanGcRun_ = aig_.kernelStats().gcRuns;
+    }
 }
 
 void ElimKernel::collectIfBloated()
 {
-    if (aig_.numNodes() > 4 * aig_.coneSize(matrix_) + 20000) collectGarbage();
+    if (aig_.numNodes() > 4 * scan().coneSize + 20000) collectGarbage();
 }
 
 SolveResult ElimKernel::housekeeping()
@@ -53,7 +71,7 @@ SolveResult ElimKernel::housekeeping()
         FraigOptions fopts;
         fopts.deadline = limits_.deadline;
         matrix_ = fraigReduce(aig_, matrix_, fopts);
-        lastFraigSize_ = aig_.coneSize(matrix_);
+        lastFraigSize_ = scan().coneSize;
         ++stats_.fraigRuns;
         // The sweep strands the entire pre-sweep cone as garbage.
         if (aig_.numNodes() > 2 * lastFraigSize_ + 1000) collectGarbage();
@@ -66,41 +84,46 @@ SolveResult ElimKernel::unitPurePass(const PrefixOps& prefix)
 {
     if (!limits_.unitPure) return SolveResult::Unknown;
     Timer t;
-    bool changed = true;
-    while (changed && !isConstant() && !limits_.deadline.expired()) {
-        changed = false;
+    while (!isConstant() && !limits_.deadline.expired()) {
         collectIfBloated();
-        const UnitPureInfo info = aig_.detectUnitPure(matrix_);
-        // One elimination per detection: units before pures (a universal
-        // unit decides the formula), positive before negative.
+        const UnitPureInfo& info = scan();
+        // A universal unit decides the formula: phi implies a literal the
+        // adversary can falsify.
+        for (const std::vector<Var>* units : {&info.posUnit, &info.negUnit}) {
+            for (Var v : *units) {
+                if (prefix.kindOf(v) == QuantKind::Forall) {
+                    stats_.unitPureMilliseconds += t.elapsedMilliseconds();
+                    return SolveResult::Unsat;
+                }
+            }
+        }
+        // Fix every unit and pure of this detection at once (DESIGN §14):
+        // units before pures, so a variable listed as both counts as a unit.
         const std::pair<const std::vector<Var>*, bool> lists[] = {
             {&info.posUnit, true}, {&info.negUnit, false}, {&info.posPure, true},
             {&info.negPure, false}};
-        for (std::size_t i = 0; i < 4 && !changed; ++i) {
+        Substitution& fixed = aig_.scratchSubstitution();
+        for (std::size_t i = 0; i < 4; ++i) {
             const bool unit = i < 2;
             const bool positive = lists[i].second;
             for (Var v : *lists[i].first) {
                 const std::optional<QuantKind> kind = prefix.kindOf(v);
-                if (!kind) continue;
-                if (unit && kind == QuantKind::Forall) {
-                    stats_.unitPureMilliseconds += t.elapsedMilliseconds();
-                    return SolveResult::Unsat;
-                }
-                // An existential keeps the helpful cofactor; the adversary
+                if (!kind) continue; // free, or fixed by an earlier list
+                // An existential keeps the helpful value; the adversary
                 // picks the harmful one for a universal pure.
                 const bool existential = kind == QuantKind::Exists;
                 if (existential && recorder_) {
                     recorder_->record(SkolemRecorder::Constant{v, positive});
                 }
-                matrix_ = aig_.cofactor(matrix_, v, existential == positive);
+                fixed.set(v, existential == positive ? aig_.constTrue() : aig_.constFalse());
                 prefix.remove(v);
                 ++(unit ? stats_.unitEliminations : stats_.pureEliminations);
                 if (unit) OBS_COUNT("hqs.elim.unit", 1);
                 else OBS_COUNT("hqs.elim.pure", 1);
-                changed = true;
-                break;
             }
         }
+        if (fixed.empty()) break;
+        matrix_ = aig_.substitute(matrix_, fixed);
     }
     stats_.unitPureMilliseconds += t.elapsedMilliseconds();
     return SolveResult::Unknown;

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 
@@ -40,6 +41,7 @@ struct ElimStats {
     double unitPureMilliseconds = 0.0;
     std::size_t fraigRuns = 0;
     std::size_t peakConeSize = 0;
+    std::size_t scans = 0; ///< matrix walks by ElimKernel::scan (cache misses)
 };
 
 /// The caller's prefix as the kernel sees it: "how is v quantified now"
@@ -69,6 +71,12 @@ public:
         return aig_.constantValue(matrix_) ? SolveResult::Sat : SolveResult::Unsat;
     }
 
+    /// The Theorem-6 walk of the current matrix (unit/pure lists, cone size,
+    /// occurrence counts), cached until the matrix edge or the manager's GC
+    /// generation changes; the kernel's own GC re-keys it (DESIGN §14).
+    /// The result describes the matrix until the matrix changes.
+    const UnitPureInfo& scan();
+
     /// Fold the matrix cone into peakConeSize and the `aig.peak_cone` gauge;
     /// returns the cone size.
     std::size_t trackPeak();
@@ -78,8 +86,9 @@ public:
     /// Each cofactor leaves O(cone) garbage; collect when it dominates.
     void collectIfBloated();
 
-    /// Theorem 5 on Theorem-6 detections, one variable at a time, to a
-    /// fixpoint.  Unsat on a universal unit, Unknown otherwise.
+    /// Theorem 5 on Theorem-6 detections to a fixpoint, each detection
+    /// applied whole through one substitution.  Unsat on a universal unit,
+    /// Unknown otherwise.
     SolveResult unitPurePass(const PrefixOps& prefix);
     /// ∃v.phi = phi[0/v] | phi[1/v], recording phi[1/v] for Skolem
     /// reconstruction.  The caller removes @p v from its prefix.
@@ -91,6 +100,11 @@ public:
 private:
     /// Mark-compact, keeping the matrix and the recorder's cofactors.
     void collectGarbage();
+    /// Does scan_ describe the current matrix?
+    bool scanCurrent() const
+    {
+        return scanEdge_ == matrix_ && scanGcRun_ == aig_.kernelStats().gcRuns;
+    }
 
     Aig& aig_;
     AigEdge matrix_;
@@ -98,6 +112,9 @@ private:
     SkolemRecorder* recorder_;
     ElimStats& stats_;
     std::size_t lastFraigSize_ = 0; ///< FRAIG high-water mark
+    UnitPureInfo scan_;
+    AigEdge scanEdge_;            ///< matrix scan_ describes (invalid: none)
+    std::uint64_t scanGcRun_ = 0; ///< kernelStats().gcRuns when scanned
 };
 
 } // namespace hqs

@@ -218,26 +218,32 @@ SolveResult PortfolioSolver::solve(const DqbfFormula& f)
                 }
             });
         }
-        // Forward the external kill switch to every racer's token, including
-        // when it fires mid-race.  Polling at 1 ms keeps the monitor trivial
+        // Forward the external kill switches to every racer's token,
+        // including when they fire mid-race: the `cancel` option and the
+        // token already on the budget (the guard's, which each racer's
+        // withCancel replaces).  Polling at 1 ms keeps the monitor trivial
         // (no extra condition variables) and is far below any solver budget.
         std::atomic<bool> raceDone{false};
         std::thread monitor;
-        if (opts_.cancel) {
+        if (opts_.cancel || opts_.deadline.hasCancel()) {
             monitor = std::thread([&] {
+                // The fired switch's reason (shutdown vs client disconnect
+                // vs memout), nullopt while neither has fired.
+                auto fired = [&]() -> std::optional<CancelReason> {
+                    if (opts_.cancel && opts_.cancel->cancelled()) return opts_.cancel->reason();
+                    if (opts_.deadline.cancelled()) return opts_.deadline.cancelReason();
+                    return std::nullopt;
+                };
                 while (!raceDone.load(std::memory_order_relaxed)) {
-                    if (opts_.cancel->cancelled()) {
-                        // Forward the external token's reason (shutdown vs
-                        // client disconnect vs memout) and stamp the
-                        // broadcast time so the racers' cancel latency is
-                        // measured for this path too.
-                        const CancelReason why = opts_.cancel->reason();
-                        const CancelReason fwd =
-                            why == CancelReason::None ? CancelReason::User : why;
+                    if (const std::optional<CancelReason> why = fired()) {
+                        // Stamp the broadcast time so the racers' cancel
+                        // latency is measured for this path too.
                         {
                             std::lock_guard<std::mutex> lock(mu);
                             if (!cancelBroadcastAt) cancelBroadcastAt = Clock::now();
                         }
+                        const CancelReason fwd =
+                            *why == CancelReason::None ? CancelReason::User : *why;
                         for (CancelToken& t : tokens) t.requestCancel(fwd);
                         return;
                     }
@@ -318,7 +324,7 @@ SolveResult PortfolioSolver::solve(const DqbfFormula& f)
 #endif
         return verdict;
     }
-    if (opts_.cancel && opts_.cancel->cancelled())
+    if ((opts_.cancel && opts_.cancel->cancelled()) || opts_.deadline.cancelled())
         stats_.failure = {FailureKind::Cancelled, "portfolio", "race cancelled"};
     // No definitive answer: report the most informative inconclusive result.
     bool sawTimeout = false, sawMemout = false;

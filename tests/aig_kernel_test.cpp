@@ -3,12 +3,16 @@
 // compose/cofactor operation cache, mark-compact garbage collection,
 // cross-manager importCone, and the live-node budget semantics built on top
 // of them, and the elimination kernel the HQS main loop and the AIG QBF
-// backend share.  Substitute/cofactor results are checked two ways: point-wise
-// against semantic evaluation over every assignment, and via SAT equivalence
+// backend share (its cached matrix scan and batched unit/pure pass).
+// Substitute/cofactor results are checked two ways: point-wise against
+// semantic evaluation over every assignment, and via SAT equivalence
 // through the CNF bridge.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <tuple>
+#include <unordered_map>
+#include <unordered_set>
 #include <variant>
 #include <vector>
 
@@ -17,6 +21,7 @@
 #include "src/base/rng.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
+#include "src/dqbf/skolem_recorder.hpp"
 #include "src/obs/obs.hpp"
 #include "src/qbf/aig_qbf_solver.hpp"
 #include "src/qbf/elim_kernel.hpp"
@@ -532,6 +537,322 @@ TEST(AigKernel, BackendEliminationsReachTheRegistry)
               st.unitEliminations + st.pureEliminations + st.qbfStats.unitEliminations +
                   st.qbfStats.pureEliminations);
     EXPECT_EQ(value("aig.peak_cone", obs::MetricKind::Gauge), st.peakConeSize);
+}
+
+// ------------------------------------------ batched Theorem-6 application --
+
+bool listed(const std::vector<Var>& list, Var v)
+{
+    return std::find(list.begin(), list.end(), v) != list.end();
+}
+
+/// A random DQBF with planted unit and pure variables of both quantifier
+/// kinds; the rest of the matrix is random clauses over `core`.
+struct PlantedUnitPure {
+    DqbfFormula f;
+    Var unitPos = kNoVar;    ///< existential, positive unit, also occurs negatively
+    Var unitNeg = kNoVar;    ///< existential, negative unit and negative pure
+    Var purePos = kNoVar;    ///< existential, positive pure
+    Var pureNeg = kNoVar;    ///< existential, negative pure
+    Var forallPos = kNoVar;  ///< universal, positive pure
+    Var forallNeg = kNoVar;  ///< universal, negative pure
+    Var forallUnit = kNoVar; ///< universal with a unit clause, if planted
+};
+
+PlantedUnitPure plantUnitPure(Rng& rng, bool universalUnit)
+{
+    PlantedUnitPure p;
+    DqbfFormula& f = p.f;
+    std::vector<Var> core;
+    for (int i = 0; i < 2; ++i) core.push_back(f.addUniversal());
+    p.forallPos = f.addUniversal();
+    p.forallNeg = f.addUniversal();
+    const std::vector<Var> universals = f.universals();
+    auto existential = [&] {
+        std::vector<Var> deps;
+        for (Var x : universals) {
+            if (rng.flip()) deps.push_back(x);
+        }
+        return f.addExistential(std::move(deps));
+    };
+    for (int i = 0; i < 5; ++i) core.push_back(existential());
+    p.unitPos = existential();
+    p.unitNeg = existential();
+    p.purePos = existential();
+    p.pureNeg = existential();
+
+    // Clauses of distinct core variables, so no clause collapses to a unit.
+    auto add = [&](std::initializer_list<Lit> planted, std::size_t randomLits) {
+        Clause c;
+        for (Lit l : planted) c.push(l);
+        std::vector<Var> pool = core;
+        for (std::size_t i = 0; i < randomLits; ++i) {
+            const std::size_t k = rng.below(pool.size());
+            c.push(Lit(pool[k], rng.flip()));
+            pool.erase(pool.begin() + static_cast<std::ptrdiff_t>(k));
+        }
+        f.matrix().addClause(std::move(c));
+    };
+    add({Lit::pos(p.unitPos)}, 0);
+    add({Lit::neg(p.unitPos)}, 2);
+    add({Lit::neg(p.unitNeg)}, 0);
+    add({Lit::neg(p.unitNeg)}, 1);
+    for (int i = 0; i < 2; ++i) {
+        add({Lit::pos(p.purePos)}, 2);
+        add({Lit::neg(p.pureNeg)}, 2);
+        add({Lit::pos(p.forallPos)}, 2);
+        add({Lit::neg(p.forallNeg)}, 2);
+    }
+    const std::size_t extra = 1 + rng.below(4);
+    for (std::size_t i = 0; i < extra; ++i) add({}, 3);
+    if (universalUnit) {
+        p.forallUnit = core[rng.below(2)];
+        add({Lit(p.forallUnit, rng.flip())}, 0);
+    }
+    return p;
+}
+
+TEST(AigKernel, BatchedUnitPureAgreesWithTheOracleAndCertifies)
+{
+    Rng rng(15);
+    std::size_t sat = 0;
+    for (int round = 0; round < 160; ++round) {
+        const bool universalUnit = round % 4 == 0;
+        const PlantedUnitPure p = plantUnitPure(rng, universalUnit);
+
+        // One detection reports every planted variable, u1 in two lists.
+        {
+            Aig aig;
+            const UnitPureInfo info = aig.detectUnitPure(buildFromCnf(aig, p.f.matrix()));
+            ASSERT_TRUE(listed(info.posUnit, p.unitPos));
+            ASSERT_TRUE(listed(info.negUnit, p.unitNeg) && listed(info.negPure, p.unitNeg));
+            ASSERT_TRUE(listed(info.posPure, p.purePos) && listed(info.posPure, p.forallPos));
+            ASSERT_TRUE(listed(info.negPure, p.pureNeg) && listed(info.negPure, p.forallNeg));
+            if (universalUnit) {
+                ASSERT_TRUE(listed(info.posUnit, p.forallUnit) ||
+                            listed(info.negUnit, p.forallUnit));
+            }
+        }
+
+        const SolveResult expected = expansionDqbf(p.f);
+        ASSERT_TRUE(isConclusive(expected)) << "round " << round;
+        HqsOptions opts;
+        opts.preprocess = false; // leave the planted variables to the kernel
+        opts.satProbe = false;
+        opts.computeSkolem = true;
+        HqsSolver solver(opts);
+        EXPECT_EQ(solver.solve(p.f), expected) << "round " << round;
+        const HqsStats& st = solver.stats();
+        if (universalUnit) {
+            // The universal unit decides before anything is fixed.
+            EXPECT_EQ(expected, SolveResult::Unsat);
+            EXPECT_EQ(st.unitEliminations + st.pureEliminations, 0u) << "round " << round;
+            EXPECT_EQ(st.decidedBy, "elimination");
+        } else {
+            EXPECT_GE(st.unitEliminations, 2u) << "round " << round;
+            EXPECT_GE(st.pureEliminations, 4u) << "round " << round;
+        }
+        if (expected == SolveResult::Sat) {
+            ++sat;
+            ASSERT_TRUE(solver.skolemCertificate().has_value());
+            EXPECT_TRUE(verifyAigSkolemCertificate(p.f, *solver.skolemCertificate()))
+                << "round " << round;
+        }
+    }
+    EXPECT_GT(sat, 10u); // the sweep exercises certificates, not only refutations
+}
+
+TEST(AigKernel, UniversalUnitListedLastStillDecidesBeforeAnyFix)
+{
+    DqbfFormula f;
+    const Var x = f.addUniversal();
+    const Var y0 = f.addExistential({x});
+    const Var y1 = f.addExistential({x});
+    Aig aig;
+    // x's input node is created first, so the descending-index detection
+    // lists it after the existential unit y0.
+    const AigEdge ex = aig.variable(x);
+    const AigEdge ey0 = aig.variable(y0);
+    const AigEdge ey1 = aig.variable(y1);
+    const AigEdge root = aig.mkAnd(aig.mkAnd(ex, ey0),
+                                   aig.mkAnd(~ey1, clause(aig, {~ey0, ey1, ~ex})));
+    const UnitPureInfo info = aig.detectUnitPure(root);
+    ASSERT_EQ(info.posUnit, (std::vector<Var>{y0, x}));
+    ASSERT_EQ(info.negUnit, (std::vector<Var>{y1}));
+
+    ElimStats stats;
+    SkolemRecorder rec;
+    ElimKernel kernel(aig, root, ElimLimits{}, &rec, stats);
+    EXPECT_EQ(kernel.unitPurePass(prefixOps(f)), SolveResult::Unsat);
+    EXPECT_EQ(kernel.matrix(), root);
+    EXPECT_TRUE(rec.records().empty());
+    EXPECT_TRUE(f.isExistential(y0) && f.isExistential(y1) && f.isUniversal(x));
+    EXPECT_EQ(stats.unitEliminations + stats.pureEliminations, 0u);
+}
+
+TEST(AigKernel, OneDetectionFixesEveryIndependentPure)
+{
+    // (a xor b) & AND_i (p_i | (a xor c_i)): every p_i is pure, nothing else
+    // is unit or pure, so one detection fixes all k and a second finds none.
+    constexpr Var k = 24;
+    Aig aig;
+    QbfPrefix prefix;
+    std::vector<Var> vars;
+    for (Var v = 0; v < 2 + 2 * k; ++v) vars.push_back(v);
+    prefix.addBlock(QuantKind::Exists, vars);
+    const AigEdge a = aig.variable(0);
+    const AigEdge core = aig.mkXor(a, aig.variable(1));
+    AigEdge root = core;
+    for (Var i = 0; i < k; ++i) {
+        const AigEdge pure = aig.variable(2 + i);
+        root = aig.mkAnd(root, aig.mkOr(pure, aig.mkXor(a, aig.variable(2 + k + i))));
+    }
+
+    ElimStats stats;
+    SkolemRecorder rec;
+    ElimKernel kernel(aig, root, ElimLimits{}, &rec, stats);
+    EXPECT_EQ(kernel.unitPurePass(prefixOps(prefix)), SolveResult::Unknown);
+    EXPECT_EQ(stats.scans, 2u);
+    EXPECT_EQ(stats.pureEliminations, k);
+    EXPECT_EQ(stats.unitEliminations, 0u);
+    EXPECT_EQ(kernel.matrix(), core);
+    ASSERT_EQ(rec.records().size(), k);
+    for (Var i = 0; i < k; ++i) {
+        EXPECT_FALSE(prefix.contains(2 + i));
+        const auto* c = std::get_if<SkolemRecorder::Constant>(&rec.records()[i]);
+        ASSERT_NE(c, nullptr);
+        EXPECT_TRUE(c->value);
+    }
+}
+
+// ------------------------------------------------------ scan cache --------
+
+/// The occurrence count the AIG backend used before the kernel's scan: AND
+/// fanin references per variable, over a hash-set DFS.
+std::unordered_map<Var, std::uint32_t> hashMapOccurrences(const Aig& aig, AigEdge root)
+{
+    std::unordered_map<Var, std::uint32_t> counts;
+    if (aig.isConstant(root)) return counts;
+    if (aig.isInput(root)) {
+        counts[aig.inputVariable(root)] = 1;
+        return counts;
+    }
+    std::unordered_set<std::uint32_t> visited;
+    std::vector<AigEdge> stack{root};
+    while (!stack.empty()) {
+        const AigEdge e = stack.back();
+        stack.pop_back();
+        if (!visited.insert(e.nodeIndex()).second || !aig.isAnd(e)) continue;
+        for (const AigEdge f : {aig.fanin0(e), aig.fanin1(e)}) {
+            if (aig.isConstant(f)) continue;
+            if (aig.isInput(f)) {
+                ++counts[aig.inputVariable(f)];
+            } else {
+                stack.push_back(f);
+            }
+        }
+    }
+    return counts;
+}
+
+/// Random cone over variables first..first+count-1: the xor of the last
+/// ten of @p ops random and/xor gates.
+AigEdge wideCone(Aig& aig, Rng& rng, Var first, Var count, std::size_t ops)
+{
+    std::vector<AigEdge> pool;
+    for (Var v = first; v < first + count; ++v) pool.push_back(aig.variable(v));
+    for (std::size_t i = 0; i < ops; ++i) {
+        const AigEdge a = pool[rng.below(pool.size())] ^ rng.flip();
+        const AigEdge b = pool[rng.below(pool.size())] ^ rng.flip();
+        pool.push_back(rng.flip() ? aig.mkAnd(a, b) : aig.mkXor(a, b));
+    }
+    AigEdge out = aig.constFalse();
+    for (std::size_t i = pool.size() - 10; i < pool.size(); ++i) out = aig.mkXor(out, pool[i]);
+    return out;
+}
+
+TEST(AigKernel, ScanCacheMatchesFreshWalksAcrossEveryMatrixChange)
+{
+    Aig aig;
+    Rng rng(23);
+    // (v0 | v1) & (~v1 | v2 | v3) keeps the quantified v0, v1 from
+    // collapsing the matrix; the wide cone over v4..v15 gives it bulk.
+    const AigEdge v1 = aig.variable(1);
+    const AigEdge small = aig.mkAnd(aig.mkOr(aig.variable(0), v1),
+                                    clause(aig, {~v1, aig.variable(2), aig.variable(3)}));
+    const AigEdge root = aig.mkAnd(small, wideCone(aig, rng, 4, 12, 400));
+    ElimLimits limits;
+    limits.fraigThresholdNodes = 0; // the next housekeeping sweeps
+    ElimStats stats;
+    SkolemRecorder rec;
+    ElimKernel kernel(aig, root, limits, &rec, stats);
+
+    auto expectFresh = [&](const char* step) {
+        const UnitPureInfo& cached = kernel.scan();
+        const AigEdge m = kernel.matrix();
+        const UnitPureInfo fresh = aig.detectUnitPure(m);
+        EXPECT_EQ(cached.posUnit, fresh.posUnit) << step;
+        EXPECT_EQ(cached.negUnit, fresh.negUnit) << step;
+        EXPECT_EQ(cached.posPure, fresh.posPure) << step;
+        EXPECT_EQ(cached.negPure, fresh.negPure) << step;
+        EXPECT_EQ(cached.occurrences, fresh.occurrences) << step;
+        EXPECT_EQ(cached.coneSize, aig.coneSize(m)) << step;
+        const auto reference = hashMapOccurrences(aig, m);
+        std::size_t occurring = 0;
+        for (Var v = 0; v < cached.occurrences.size(); ++v) {
+            if (cached.occurrences[v] == 0) continue;
+            ++occurring;
+            const auto it = reference.find(v);
+            ASSERT_NE(it, reference.end()) << step << ": var " << v;
+            EXPECT_EQ(cached.occurrences[v], it->second) << step << ": var " << v;
+        }
+        EXPECT_EQ(occurring, reference.size()) << step;
+    };
+
+    expectFresh("initial");
+    EXPECT_EQ(stats.scans, 1u);
+    (void)kernel.scan();
+    EXPECT_EQ(stats.scans, 1u); // same matrix, same GC generation: cached
+
+    kernel.eliminateExists(0);
+    expectFresh("eliminateExists");
+    kernel.matrix() = aig.forallVar(kernel.matrix(), 1);
+    expectFresh("forallVar");
+    Substitution sub;
+    sub.set(2, aig.mkAnd(aig.variable(3), aig.variable(4)));
+    sub.set(5, ~aig.variable(6));
+    kernel.matrix() = aig.substitute(kernel.matrix(), sub);
+    expectFresh("substitute");
+    EXPECT_EQ(stats.scans, 4u);
+
+    // Garbage enough that the post-FRAIG collection fires: the kernel's own
+    // GC renumbers the matrix and re-keys the scan instead of dropping it.
+    (void)wideCone(aig, rng, 0, 16, 4000);
+    const std::uint64_t gcBefore = aig.kernelStats().gcRuns;
+    const std::size_t scansBefore = stats.scans;
+    ASSERT_EQ(kernel.housekeeping(), SolveResult::Unknown);
+    EXPECT_EQ(stats.fraigRuns, 1u);
+    ASSERT_GT(aig.kernelStats().gcRuns, gcBefore);
+    EXPECT_LE(stats.scans, scansBefore + 1); // at most the post-sweep walk
+    const std::size_t scansAfterGc = stats.scans;
+    expectFresh("fraig + own gc");
+    EXPECT_EQ(stats.scans, scansAfterGc);
+
+    // A collection the kernel did not run bumps the generation, so an edge
+    // that reads the same afterwards (but names another node) is rescanned.
+    (void)wideCone(aig, rng, 0, 16, 400);
+    kernel.matrix() = aig.mkAnd(kernel.matrix(), aig.variable(15));
+    const AigEdge scanned = kernel.matrix();
+    expectFresh("above garbage");
+    const std::size_t scansBeforeForeignGc = stats.scans;
+    std::vector<AigEdge*> roots{&kernel.matrix()};
+    rec.appendGcRoots(roots);
+    aig.garbageCollect(roots);
+    ASSERT_LT(kernel.matrix().nodeIndex(), scanned.nodeIndex());
+    while (aig.numNodes() <= scanned.nodeIndex()) (void)wideCone(aig, rng, 0, 16, 100);
+    kernel.matrix() = scanned;
+    expectFresh("foreign gc");
+    EXPECT_EQ(stats.scans, scansBeforeForeignGc + 1);
 }
 
 } // namespace

@@ -460,6 +460,50 @@ TEST(PortfolioGuard, ThrowingEngineIsRecordedAndTheRaceStillAnswers)
     EXPECT_TRUE(sawFailure);
 }
 
+TEST(PortfolioGuard, GuardCancelStopsTheRaceWithinBoundedLatency)
+{
+    // Racers that only stop when their deadline expires: with a 5 s budget,
+    // a return well before it means the guard's token reached them.
+    auto spin = [](const DqbfFormula&, const Deadline& dl, std::string*) {
+        while (!dl.expired()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        return deadlineExceededResult(dl);
+    };
+    CancelToken kill;
+    GuardOptions gopts;
+    gopts.deadline = Deadline::in(5.0);
+    gopts.cancel = kill;
+    gopts.watchdogPollMilliseconds = 1.0;
+    const DqbfFormula f =
+        DqbfFormula::fromParsed(parseDqdimacsFile(dataPath("example1_sat.dqdimacs")));
+
+    using Clock = std::chrono::steady_clock;
+    Clock::time_point cancelledAt;
+    std::thread killer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        cancelledAt = Clock::now();
+        kill.requestCancel();
+    });
+    PortfolioStats stats;
+    const GuardedOutcome out = runGuarded(gopts, [&](const Deadline& dl) {
+        PortfolioOptions opts;
+        opts.engines = {{"spin-a", spin, ""}, {"spin-b", spin, ""}};
+        opts.deadline = dl;
+        PortfolioSolver solver(opts);
+        const SolveResult r = solver.solve(f);
+        stats = solver.stats();
+        return r;
+    });
+    const Clock::time_point returnedAt = Clock::now();
+    killer.join();
+    const double latencyMs =
+        std::chrono::duration<double, std::milli>(returnedAt - cancelledAt).count();
+    EXPECT_EQ(out.result, SolveResult::Timeout);
+    EXPECT_EQ(out.failure.kind, FailureKind::Cancelled);
+    EXPECT_EQ(stats.failure.kind, FailureKind::Cancelled);
+    EXPECT_LT(latencyMs, 1000.0);
+    for (const EngineRunStats& es : stats.engines) EXPECT_EQ(es.result, SolveResult::Timeout);
+}
+
 // ---------------------------------------------------------- degradation ladder
 
 TEST(Ladder, DefaultLadderShape)

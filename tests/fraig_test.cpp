@@ -4,6 +4,7 @@
 
 #include "src/aig/fraig.hpp"
 #include "src/base/rng.hpp"
+#include "src/obs/obs.hpp"
 
 namespace hqs {
 namespace {
@@ -91,6 +92,44 @@ TEST(Fraig, StatsCountRefutations)
     FraigStats stats;
     (void)fraigReduce(aig, pool.back(), {}, &stats);
     EXPECT_LE(stats.merged + stats.refuted + stats.timedOut, stats.candidates + stats.merged);
+}
+
+TEST(Fraig, RegistryCountersAreEachSweepsStats)
+{
+    // Two 12-input conjunctions look constant-false to one 64-pattern
+    // simulation word, so SAT refutes those candidates; the two XOR
+    // structures merge.
+    Aig aig;
+    AigEdge rare0 = aig.constTrue();
+    AigEdge rare1 = aig.constTrue();
+    for (Var v = 0; v < 12; ++v) {
+        rare0 = aig.mkAnd(rare0, aig.variable(v));
+        rare1 = aig.mkAnd(rare1, aig.variable(12 + v));
+    }
+    const AigEdge x = aig.variable(24);
+    const AigEdge y = aig.variable(25);
+    const AigEdge xor1 = aig.mkOr(aig.mkAnd(x, ~y), aig.mkAnd(~x, y));
+    const AigEdge xor2 = ~aig.mkOr(aig.mkAnd(x, y), aig.mkAnd(~x, ~y));
+    const AigEdge f = aig.mkOr(aig.mkOr(rare0, rare1), aig.mkAnd(xor1, xor2));
+
+    FraigOptions opts;
+    opts.simWords = 1;
+    FraigStats stats;
+    obs::MetricScope scope;
+    // Two sweeps into one FraigStats: the registry must get each sweep's
+    // deltas, not the running totals.
+    (void)fraigReduce(aig, f, opts, &stats);
+    (void)fraigReduce(aig, f, opts, &stats);
+    auto counter = [&scope](const char* name) {
+        return static_cast<std::size_t>(scope.value(obs::metric(name, obs::MetricKind::Counter)));
+    };
+    EXPECT_GT(stats.merged, 0u);
+    EXPECT_GT(stats.refuted, 0u);
+    EXPECT_EQ(counter("fraig.runs"), 2u);
+    EXPECT_EQ(counter("fraig.candidates"), stats.candidates);
+    EXPECT_EQ(counter("fraig.merged"), stats.merged);
+    EXPECT_EQ(counter("fraig.refuted"), stats.refuted);
+    EXPECT_EQ(counter("fraig.timed_out"), stats.timedOut);
 }
 
 class FraigSemanticsPreserved : public ::testing::TestWithParam<int> {};
