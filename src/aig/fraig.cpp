@@ -1,6 +1,8 @@
 #include "src/aig/fraig.hpp"
 
 #include <cassert>
+#include <unordered_map>
+#include <vector>
 
 #include "src/aig/cnf_bridge.hpp"
 #include "src/base/fault.hpp"
@@ -22,91 +24,73 @@ std::uint64_t inputPattern(Var v, unsigned word, std::uint64_t seed)
     return z ^ (z >> 31);
 }
 
-/// Lazily memoized simulation signatures for nodes of @p aig.
+/// Simulation signatures of a cone in one flat table of `words` words per
+/// node index, filled in ascending index order: fanins have lower indices.
+/// A node the sweep rebuilds computes its old node's function, so it is
+/// simulated through that old index.
 class Signatures {
 public:
-    Signatures(const Aig& aig, unsigned words, std::uint64_t seed)
-        : aig_(aig), words_(words), seed_(seed)
+    Signatures(const Aig& aig, const std::vector<std::uint8_t>& inCone, unsigned words,
+               std::uint64_t seed)
+        : words_(words), table_(inCone.size() * words, 0)
     {
+        // Row 0 is the constant false node's all-zero signature.
+        for (std::uint32_t idx = 1; idx < inCone.size(); ++idx) {
+            if (!inCone[idx]) continue;
+            std::uint64_t* s = &table_[std::size_t{idx} * words_];
+            const AigEdge e(idx, false);
+            if (aig.isInput(e)) {
+                for (unsigned w = 0; w < words_; ++w)
+                    s[w] = inputPattern(aig.inputVariable(e), w, seed);
+                continue;
+            }
+            const AigEdge f0 = aig.fanin0(e);
+            const AigEdge f1 = aig.fanin1(e);
+            const std::uint64_t* s0 = row(f0.nodeIndex());
+            const std::uint64_t* s1 = row(f1.nodeIndex());
+            const std::uint64_t m0 = f0.complemented() ? ~0ull : 0;
+            const std::uint64_t m1 = f1.complemented() ? ~0ull : 0;
+            for (unsigned w = 0; w < words_; ++w) s[w] = (s0[w] ^ m0) & (s1[w] ^ m1);
+        }
     }
 
-    /// Signature of an edge (complement applied).
-    std::vector<std::uint64_t> ofEdge(AigEdge e)
+    const std::uint64_t* row(std::uint32_t idx) const
     {
-        std::vector<std::uint64_t> s = ofNode(e.nodeIndex());
-        if (e.complemented()) {
-            for (auto& w : s) w = ~w;
-        }
-        return s;
+        return &table_[std::size_t{idx} * words_];
     }
+    unsigned words() const { return words_; }
 
 private:
-    const std::vector<std::uint64_t>& ofNode(std::uint32_t idx)
-    {
-        auto hit = memo_.find(idx);
-        if (hit != memo_.end()) return hit->second;
-
-        std::vector<std::uint32_t> stack{idx};
-        while (!stack.empty()) {
-            const std::uint32_t i = stack.back();
-            if (memo_.contains(i)) {
-                stack.pop_back();
-                continue;
-            }
-            const AigEdge e(i, false);
-            if (aig_.isConstant(e)) {
-                memo_.emplace(i, std::vector<std::uint64_t>(words_, 0));
-                stack.pop_back();
-                continue;
-            }
-            if (aig_.isInput(e)) {
-                std::vector<std::uint64_t> s(words_);
-                for (unsigned w = 0; w < words_; ++w)
-                    s[w] = inputPattern(aig_.inputVariable(e), w, seed_);
-                memo_.emplace(i, std::move(s));
-                stack.pop_back();
-                continue;
-            }
-            const AigEdge f0 = aig_.fanin0(e);
-            const AigEdge f1 = aig_.fanin1(e);
-            auto it0 = memo_.find(f0.nodeIndex());
-            auto it1 = memo_.find(f1.nodeIndex());
-            if (it0 == memo_.end()) {
-                stack.push_back(f0.nodeIndex());
-                continue;
-            }
-            if (it1 == memo_.end()) {
-                stack.push_back(f1.nodeIndex());
-                continue;
-            }
-            std::vector<std::uint64_t> s(words_);
-            for (unsigned w = 0; w < words_; ++w) {
-                const std::uint64_t w0 =
-                    f0.complemented() ? ~it0->second[w] : it0->second[w];
-                const std::uint64_t w1 =
-                    f1.complemented() ? ~it1->second[w] : it1->second[w];
-                s[w] = w0 & w1;
-            }
-            memo_.emplace(i, std::move(s));
-            stack.pop_back();
-        }
-        return memo_.at(idx);
-    }
-
-    const Aig& aig_;
     unsigned words_;
-    std::uint64_t seed_;
-    std::unordered_map<std::uint32_t, std::vector<std::uint64_t>> memo_;
+    std::vector<std::uint64_t> table_;
 };
 
-std::uint64_t hashSig(const std::vector<std::uint64_t>& s)
+/// An edge whose signature is row idx of the table, complemented when
+/// mask is all ones.
+struct SigRef {
+    std::uint32_t idx;
+    std::uint64_t mask;
+};
+
+std::uint64_t hashSig(const Signatures& sigs, SigRef r)
 {
+    const std::uint64_t* s = sigs.row(r.idx);
     std::uint64_t h = 0xcbf29ce484222325ull;
-    for (std::uint64_t w : s) {
-        h ^= w;
+    for (unsigned w = 0; w < sigs.words(); ++w) {
+        h ^= s[w] ^ r.mask;
         h *= 0x100000001b3ull;
     }
     return h;
+}
+
+bool sameSig(const Signatures& sigs, SigRef a, SigRef b)
+{
+    const std::uint64_t* sa = sigs.row(a.idx);
+    const std::uint64_t* sb = sigs.row(b.idx);
+    for (unsigned w = 0; w < sigs.words(); ++w) {
+        if ((sa[w] ^ a.mask) != (sb[w] ^ b.mask)) return false;
+    }
+    return true;
 }
 
 } // namespace
@@ -123,6 +107,7 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
     if (aig.isConstant(root) || aig.isInput(root)) return root;
     OBS_PHASE(fraigSpan, "hqs.fraig", "phase.fraig.us");
     OBS_COUNT("fraig.runs", 1);
+    if (opts.trigger) fraigSpan.arg("trigger", opts.trigger);
     const std::size_t coneBefore = aig.coneSize(root);
 
     // Collect the cone of the (old) root: mark reachable descending, then
@@ -138,43 +123,42 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         inCone[aig.fanin1(e).nodeIndex()] = 1;
     }
 
-    Signatures sigs(aig, opts.simWords, opts.seed);
+    Signatures sigs(aig, inCone, opts.simWords, opts.seed);
     SatSolver sat;
     AigCnfBridge bridge(aig, sat);
 
     // Equivalence-class buckets over normalized signatures.  An entry is a
     // previously registered representative edge in normalized phase (its
-    // signature has LSB 0 in word 0).
-    std::unordered_map<std::uint64_t, std::vector<AigEdge>> buckets;
-    auto normalize = [](AigEdge e, std::vector<std::uint64_t>& s) {
-        if (s[0] & 1ull) {
-            for (auto& w : s) w = ~w;
-            return ~e;
-        }
-        return e;
+    // signature has LSB 0 in word 0) and where its signature lives.
+    struct Rep {
+        AigEdge edge;
+        SigRef sig;
     };
+    std::unordered_map<std::uint64_t, std::vector<Rep>> buckets;
+    // The normalized form of an edge computing old node idx's function.
+    auto normalize = [&sigs](AigEdge e, std::uint32_t idx) {
+        return sigs.row(idx)[0] & 1ull ? Rep{~e, {idx, ~0ull}} : Rep{e, {idx, 0}};
+    };
+    auto registerRep = [&](const Rep& r) { buckets[hashSig(sigs, r.sig)].push_back(r); };
 
     // Seed the constant class so semantically constant nodes collapse.
-    {
-        std::vector<std::uint64_t> zero(opts.simWords, 0);
-        buckets[hashSig(zero)].push_back(aig.constFalse());
-    }
+    registerRep({aig.constFalse(), {0, 0}});
 
-    /// Try to merge @p e into an existing representative.  Returns the
-    /// replacement edge, or e itself when no representative matches.
-    auto tryMerge = [&](AigEdge e) -> AigEdge {
-        std::vector<std::uint64_t> s = sigs.ofEdge(e);
-        const AigEdge norm = normalize(e, s);
-        const bool flipped = (norm != e);
-        auto& bucket = buckets[hashSig(s)];
-        for (AigEdge rep : bucket) {
-            if (rep == norm) return e; // already the representative
-            if (sigs.ofEdge(rep) != s) continue; // hash collision
-            if (opts.deadline.expired()) break;  // budget gone: stop proving
+    /// Try to merge @p e, which computes old node @p idx's function, into an
+    /// existing representative.  Returns the replacement edge, or e itself
+    /// when no representative matches.
+    auto tryMerge = [&](AigEdge e, std::uint32_t idx) -> AigEdge {
+        const Rep norm = normalize(e, idx);
+        const bool flipped = (norm.edge != e);
+        auto& bucket = buckets[hashSig(sigs, norm.sig)];
+        for (const Rep& rep : bucket) {
+            if (rep.edge == norm.edge) return e;              // already the representative
+            if (!sameSig(sigs, rep.sig, norm.sig)) continue; // hash collision
+            if (opts.deadline.expired()) break;               // budget gone: stop proving
             if (opts.maxQueries != 0 && st.candidates >= opts.maxQueries) break;
             ++st.candidates;
-            const Lit a = bridge.litFor(norm);
-            const Lit b = bridge.litFor(rep);
+            const Lit a = bridge.litFor(norm.edge);
+            const Lit b = bridge.litFor(rep.edge);
             const Deadline dl = Deadline::in(opts.satBudgetSeconds);
             const SolveResult r1 = sat.solve({a, ~b}, dl);
             if (r1 == SolveResult::Timeout) {
@@ -195,7 +179,7 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
                 continue;
             }
             ++st.merged;
-            return flipped ? ~rep : rep;
+            return flipped ? ~rep.edge : rep.edge;
         }
         bucket.push_back(norm);
         return e;
@@ -215,9 +199,7 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         if (aig.isInput(e)) {
             // Register inputs as representatives (a cone can collapse to a
             // projection), but never merge one input into another.
-            std::vector<std::uint64_t> s = sigs.ofEdge(e);
-            const AigEdge norm = normalize(e, s);
-            buckets[hashSig(s)].push_back(norm);
+            registerRep(normalize(e, idx));
             rebuilt[idx] = e;
             continue;
         }
@@ -226,7 +208,7 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         const AigEdge a = rebuilt[f0.nodeIndex()] ^ f0.complemented();
         const AigEdge b = rebuilt[f1.nodeIndex()] ^ f1.complemented();
         AigEdge merged = aig.mkAnd(a, b);
-        if (proving && !aig.isConstant(merged)) merged = tryMerge(merged);
+        if (proving && !aig.isConstant(merged)) merged = tryMerge(merged, idx);
         rebuilt[idx] = merged;
     }
     const AigEdge result = rebuilt[rootIdx] ^ root.complemented();
@@ -239,7 +221,6 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         const std::int64_t permille =
             static_cast<std::int64_t>((coneBefore - coneAfter) * 1000 / coneBefore);
         OBS_OBSERVE("fraig.reduction_permille", permille);
-        fraigSpan.arg("reduction_permille", permille);
     }
     fraigSpan.arg("nodes_before", static_cast<std::int64_t>(coneBefore));
     fraigSpan.arg("nodes_after", static_cast<std::int64_t>(coneAfter));

@@ -29,6 +29,9 @@ struct FraigOptions {
     /// and finishes as a plain structural rebuild (still sound).
     Deadline deadline = Deadline::unlimited();
     std::uint64_t seed = 0x5eedULL;
+    /// Why the sweep runs, as the `trigger` argument of its hqs.fraig span
+    /// (a string literal; null: no argument).
+    const char* trigger = nullptr;
 };
 
 struct FraigStats {

@@ -152,8 +152,7 @@ SolveResult HqsSolver::solve(DqbfFormula f)
         buildSpan.arg("nodes", static_cast<std::int64_t>(aig.numNodes()));
     }
     // The same limits govern the main loop's kernel and the AIG backend's.
-    const ElimLimits limits{opts_.unitPure, opts_.fraig, opts_.fraigThresholdNodes,
-                            opts_.nodeLimit, opts_.deadline};
+    const ElimLimits limits{opts_.unitPure, opts_.fraig, opts_.nodeLimit, opts_.deadline};
     ElimKernel kernel(aig, built, limits, rec, stats_);
     AigEdge& matrix = kernel.matrix();
     const PrefixOps ops = prefixOps(f);

@@ -47,9 +47,10 @@ struct HqsOptions {
     };
     Selection selection = Selection::MaxSat;
 
-    /// FRAIG sweeping during the main loop and the backend.
+    /// FRAIG sweeping during the main loop and the backend.  A sweep is a
+    /// node-budget step (ElimLimits::fraig), so it only runs under a
+    /// nodeLimit.
     bool fraig = true;
-    std::size_t fraigThresholdNodes = 10000;
     /// Live-AIG-node budget standing in for the paper's 8 GB memout
     /// (0 = none).  Compared against *live* nodes: when the pool crosses
     /// the limit the solver garbage-collects first and only reports Memout

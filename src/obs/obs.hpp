@@ -50,6 +50,7 @@ public:
     PhaseScope& operator=(const PhaseScope&) = delete;
 
     void arg(const char* key, std::int64_t value) noexcept { span_.arg(key, value); }
+    void arg(const char* key, const char* value) noexcept { span_.arg(key, value); }
 
 private:
     SpanScope span_;

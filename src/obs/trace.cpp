@@ -175,7 +175,9 @@ void writeChromeTrace(std::ostream& os)
             os << ",\"args\":{";
             for (std::uint32_t i = 0; i < r.numArgs; ++i) {
                 if (i) os << ',';
-                os << '"' << r.argKey[i] << "\":" << r.argVal[i];
+                os << '"' << r.argKey[i] << "\":";
+                if (r.strArgs & (1u << i)) os << '"' << r.argVal[i].str << '"';
+                else os << r.argVal[i].num;
             }
             os << '}';
         }
@@ -234,6 +236,7 @@ void SpanScope::close() noexcept
     r.tid = detail::threadOrdinal();
     r.depth = depth_;
     r.numArgs = numArgs_;
+    r.strArgs = strArgs_;
     for (std::uint32_t i = 0; i < numArgs_; ++i) {
         r.argKey[i] = argKey_[i];
         r.argVal[i] = argVal_[i];

@@ -28,6 +28,12 @@ namespace hqs::obs {
 inline constexpr std::size_t kSpanNameCapacity = 48;
 inline constexpr std::uint32_t kSpanMaxArgs = 3;
 
+/// A span argument's value: an integer, or a string literal.
+union SpanArg {
+    std::int64_t num;
+    const char* str;
+};
+
 /// One closed span, as stored in the per-thread trace buffers.
 struct SpanRecord {
     char name[kSpanNameCapacity];
@@ -36,8 +42,9 @@ struct SpanRecord {
     std::uint32_t tid = 0;   ///< small per-thread ordinal, not the OS tid
     std::uint32_t depth = 0; ///< nesting depth at record time (root = 0)
     const char* argKey[kSpanMaxArgs] = {nullptr, nullptr, nullptr};
-    std::int64_t argVal[kSpanMaxArgs] = {0, 0, 0};
+    SpanArg argVal[kSpanMaxArgs] = {};
     std::uint32_t numArgs = 0;
+    std::uint32_t strArgs = 0; ///< bit i set: argVal[i] holds a string
 };
 
 class SpanScope;
@@ -147,7 +154,16 @@ public:
     {
         if (startNs_ == 0 || numArgs_ >= kSpanMaxArgs) return;
         argKey_[numArgs_] = key;
-        argVal_[numArgs_] = value;
+        argVal_[numArgs_].num = value;
+        ++numArgs_;
+    }
+    /// A string argument; @p value must be a string literal too.
+    void arg(const char* key, const char* value) noexcept
+    {
+        if (startNs_ == 0 || numArgs_ >= kSpanMaxArgs) return;
+        argKey_[numArgs_] = key;
+        argVal_[numArgs_].str = value;
+        strArgs_ |= 1u << numArgs_;
         ++numArgs_;
     }
 
@@ -166,8 +182,9 @@ private:
     std::uint32_t depth_;
     int uncaughtOnEntry_;
     const char* argKey_[kSpanMaxArgs];
-    std::int64_t argVal_[kSpanMaxArgs];
+    SpanArg argVal_[kSpanMaxArgs];
     std::uint32_t numArgs_ = 0;
+    std::uint32_t strArgs_ = 0;
 };
 
 /// Always-available no-op stand-in the OBS_* macros expand to under
@@ -178,6 +195,7 @@ struct NullSpan {
     {
     }
     void arg(const char*, std::int64_t) noexcept {}
+    void arg(const char*, const char*) noexcept {}
 };
 
 } // namespace hqs::obs

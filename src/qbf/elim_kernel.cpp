@@ -56,25 +56,43 @@ void ElimKernel::collectIfBloated()
     if (aig_.numNodes() > 4 * scan().coneSize + 20000) collectGarbage();
 }
 
+std::size_t ElimKernel::sweep(bool overBudget)
+{
+    FraigOptions fopts;
+    fopts.deadline = limits_.deadline;
+    fopts.trigger = overBudget ? "over-budget" : "near-budget";
+    matrix_ = fraigReduce(aig_, matrix_, fopts);
+    lastFraigSize_ = scan().coneSize;
+    ++stats_.fraigRuns;
+    if (overBudget) {
+        OBS_COUNT("fraig.over_budget", 1);
+        if (lastFraigSize_ <= limits_.nodeLimit) OBS_COUNT("fraig.rescued", 1);
+    }
+    // The sweep strands the entire pre-sweep cone as garbage.
+    if (aig_.numNodes() > 2 * lastFraigSize_ + 1000) collectGarbage();
+    return lastFraigSize_;
+}
+
 SolveResult ElimKernel::housekeeping()
 {
-    const std::size_t cone = trackPeak();
+    std::size_t cone = trackPeak();
     if (limits_.deadline.expired()) return deadlineExceededResult(limits_.deadline);
-    // A live cone over budget is a memout; a pool over budget may be mostly
-    // garbage, so collect before judging.
-    if (limits_.nodeLimit != 0 && cone > limits_.nodeLimit) return SolveResult::Memout;
-    if (limits_.nodeLimit != 0 && aig_.numNodes() > limits_.nodeLimit) {
-        collectGarbage();
-        if (aig_.numNodes() > limits_.nodeLimit) return SolveResult::Memout;
-    }
-    if (limits_.fraig && cone > limits_.fraigThresholdNodes && cone > 2 * lastFraigSize_) {
-        FraigOptions fopts;
-        fopts.deadline = limits_.deadline;
-        matrix_ = fraigReduce(aig_, matrix_, fopts);
-        lastFraigSize_ = scan().coneSize;
-        ++stats_.fraigRuns;
-        // The sweep strands the entire pre-sweep cone as garbage.
-        if (aig_.numNodes() > 2 * lastFraigSize_ + 1000) collectGarbage();
+    if (limits_.nodeLimit != 0) {
+        // FRAIG is a budget step (DESIGN §14): sweep a cone past nodeLimit/8
+        // that has doubled since the last sweep, or one over budget that has
+        // grown since, so a cone is judged over budget only once swept.
+        const bool over = cone > limits_.nodeLimit;
+        if (limits_.fraig && cone > limits_.nodeLimit / 8 &&
+            (cone > 2 * lastFraigSize_ || (over && cone > lastFraigSize_))) {
+            cone = sweep(over);
+        }
+        // A live cone over budget is a memout; a pool over budget may be
+        // mostly garbage, so collect before judging.
+        if (cone > limits_.nodeLimit) return SolveResult::Memout;
+        if (aig_.numNodes() > limits_.nodeLimit) {
+            collectGarbage();
+            if (aig_.numNodes() > limits_.nodeLimit) return SolveResult::Memout;
+        }
     }
     collectIfBloated();
     return SolveResult::Unknown;

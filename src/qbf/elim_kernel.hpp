@@ -1,7 +1,7 @@
 // The elimination kernel shared by the HQS main loop (Fig. 3) and the AIG
 // QBF backend it hands the linearized AIG to.  It owns the matrix edge in
 // the caller's Aig manager (a GC root), the optional Skolem recorder, the
-// limits and the FRAIG schedule; the caller's prefix (DQBF or linear QBF)
+// limits and the FRAIG trigger; the caller's prefix (DQBF or linear QBF)
 // reaches it through PrefixOps.
 #pragma once
 
@@ -22,10 +22,11 @@ class SkolemRecorder;
 struct ElimLimits {
     /// Detect & eliminate unit/pure variables between eliminations.
     bool unitPure = true;
-    /// Run FRAIG SAT sweeping when the matrix cone grows beyond the
-    /// threshold (and has doubled since the last sweep).
+    /// FRAIG SAT sweeping as a node-budget step (DESIGN §14): sweep a cone
+    /// past nodeLimit/8 that has doubled since the last sweep, and once
+    /// more before judging a cone over nodeLimit.  Without a budget there
+    /// is no memout to avert and no sweep runs.
     bool fraig = true;
-    std::size_t fraigThresholdNodes = 10000;
     /// Live-AIG-node budget (0 = unlimited), the proxy for the paper's 8 GB
     /// memory limit.  Checked against the matrix cone and — after a garbage
     /// collection — the node pool, so stranded allocations never trip it.
@@ -80,7 +81,7 @@ public:
     /// Fold the matrix cone into peakConeSize and the `aig.peak_cone` gauge;
     /// returns the cone size.
     std::size_t trackPeak();
-    /// Between eliminations: peak, deadline, node budget, FRAIG, GC.
+    /// Between eliminations: peak, deadline, FRAIG, node budget, GC.
     /// Unknown to continue, else the final resource-limit result.
     SolveResult housekeeping();
     /// Each cofactor leaves O(cone) garbage; collect when it dominates.
@@ -100,6 +101,8 @@ public:
 private:
     /// Mark-compact, keeping the matrix and the recorder's cofactors.
     void collectGarbage();
+    /// FRAIG-reduce the matrix; returns the swept cone's size.
+    std::size_t sweep(bool overBudget);
     /// Does scan_ describe the current matrix?
     bool scanCurrent() const
     {
@@ -111,7 +114,7 @@ private:
     ElimLimits limits_;
     SkolemRecorder* recorder_;
     ElimStats& stats_;
-    std::size_t lastFraigSize_ = 0; ///< FRAIG high-water mark
+    std::size_t lastFraigSize_ = 0; ///< cone size after the last sweep
     UnitPureInfo scan_;
     AigEdge scanEdge_;            ///< matrix scan_ describes (invalid: none)
     std::uint64_t scanGcRun_ = 0; ///< kernelStats().gcRuns when scanned

@@ -9,12 +9,15 @@ namespace hqs {
 void QbfPrefix::addBlock(QuantKind kind, std::vector<Var> vars)
 {
     if (vars.empty()) return;
-    if (!blocks_.empty() && blocks_.back().kind == kind) {
-        auto& dst = blocks_.back().vars;
-        dst.insert(dst.end(), vars.begin(), vars.end());
-        return;
+    if (blocks_.empty() || blocks_.back().kind != kind) blocks_.push_back(QbfBlock{kind, {}});
+    const auto pos = static_cast<std::uint32_t>(blocks_.size());
+    for (Var v : vars) {
+        if (v >= blockOf_.size()) blockOf_.resize(std::size_t{v} + 1, 0);
+        if (blockOf_[v] == 0) blockOf_[v] = pos;
+        else repeats_ = true;
     }
-    blocks_.push_back(QbfBlock{kind, std::move(vars)});
+    auto& dst = blocks_.back().vars;
+    dst.insert(dst.end(), vars.begin(), vars.end());
 }
 
 std::size_t QbfPrefix::numVars() const
@@ -23,38 +26,42 @@ std::size_t QbfPrefix::numVars() const
                            [](std::size_t acc, const QbfBlock& b) { return acc + b.vars.size(); });
 }
 
-bool QbfPrefix::contains(Var v) const
-{
-    return std::any_of(blocks_.begin(), blocks_.end(), [v](const QbfBlock& b) {
-        return std::find(b.vars.begin(), b.vars.end(), v) != b.vars.end();
-    });
-}
+bool QbfPrefix::contains(Var v) const { return v < blockOf_.size() && blockOf_[v] != 0; }
 
 QuantKind QbfPrefix::kindOf(Var v) const
 {
-    for (const QbfBlock& b : blocks_) {
-        if (std::find(b.vars.begin(), b.vars.end(), v) != b.vars.end()) return b.kind;
-    }
-    return QuantKind::Exists; // unreachable under the precondition
+    // Exists is unreachable under the precondition.
+    return contains(v) ? blocks_[blockOf_[v] - 1].kind : QuantKind::Exists;
 }
 
 void QbfPrefix::removeVar(Var v)
 {
-    for (std::size_t i = 0; i < blocks_.size(); ++i) {
-        auto& vars = blocks_[i].vars;
-        auto it = std::find(vars.begin(), vars.end(), v);
-        if (it == vars.end()) continue;
-        vars.erase(it);
-        if (vars.empty()) {
+    if (!contains(v)) return;
+    const std::size_t i = blockOf_[v] - 1;
+    blockOf_[v] = 0;
+    auto& vars = blocks_[i].vars;
+    vars.erase(std::find(vars.begin(), vars.end(), v));
+    if (vars.empty()) {
+        blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
+        // Merge now-adjacent blocks of the same kind.
+        if (i > 0 && i < blocks_.size() && blocks_[i - 1].kind == blocks_[i].kind) {
+            auto& dst = blocks_[i - 1].vars;
+            dst.insert(dst.end(), blocks_[i].vars.begin(), blocks_[i].vars.end());
             blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
-            // Merge now-adjacent blocks of the same kind.
-            if (i > 0 && i < blocks_.size() && blocks_[i - 1].kind == blocks_[i].kind) {
-                auto& dst = blocks_[i - 1].vars;
-                dst.insert(dst.end(), blocks_[i].vars.begin(), blocks_[i].vars.end());
-                blocks_.erase(blocks_.begin() + static_cast<std::ptrdiff_t>(i));
-            }
         }
-        return;
+        reindex();
+    } else if (repeats_) {
+        reindex();
+    }
+}
+
+void QbfPrefix::reindex()
+{
+    std::fill(blockOf_.begin(), blockOf_.end(), 0);
+    for (std::size_t j = 0; j < blocks_.size(); ++j) {
+        for (Var v : blocks_[j].vars) {
+            if (blockOf_[v] == 0) blockOf_[v] = static_cast<std::uint32_t>(j + 1);
+        }
     }
 }
 

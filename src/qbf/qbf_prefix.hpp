@@ -2,6 +2,7 @@
 // over disjoint variable sets (Definition 3 of the paper).
 #pragma once
 
+#include <cstdint>
 #include <iosfwd>
 #include <vector>
 
@@ -19,7 +20,8 @@ struct QbfBlock {
 };
 
 /// A linear quantifier prefix.  Adjacent same-kind blocks are merged on
-/// insertion; empty blocks are dropped.
+/// insertion; empty blocks are dropped.  A Var -> block index makes
+/// contains and kindOf O(1) and removeVar O(block size).
 class QbfPrefix {
 public:
     QbfPrefix() = default;
@@ -48,10 +50,19 @@ public:
     /// neighbouring blocks if one becomes empty.
     void removeVar(Var v);
 
-    bool operator==(const QbfPrefix&) const = default;
+    /// Same blocks in the same order (the index follows from them).
+    bool operator==(const QbfPrefix& o) const { return blocks_ == o.blocks_; }
 
 private:
+    /// Rebuild the index after blocks moved (the outermost copy wins).
+    void reindex();
+
     std::vector<QbfBlock> blocks_;
+    /// Var -> 1 + index of the outermost block holding it (0: none).
+    std::vector<std::uint32_t> blockOf_;
+    /// Some variable was added twice (malformed input): removing one copy
+    /// re-points the index at the next.
+    bool repeats_ = false;
 };
 
 /// A QBF decision problem: prefix + CNF matrix.  Free matrix variables are

@@ -217,7 +217,6 @@ SolveOutcome solveAtRung(const std::string& path, const BatchOptions& opts,
     request.certify = opts.certify;
     HqsOptions hqsBase;
     hqsBase.fraig = rung.fraig;
-    if (opts.fraigThresholdNodes != 0) hqsBase.fraigThresholdNodes = opts.fraigThresholdNodes;
     if (rung.bddBackend) hqsBase.backend = HqsOptions::Backend::BddElimination;
 
     SolveOutcome out;

@@ -51,10 +51,6 @@ struct BatchOptions {
     /// process-wide: under concurrent jobs the first breach degrades every
     /// running job, which is the intended load-shedding behavior.
     std::size_t rssLimitBytes = 0;
-    /// FRAIG sweep threshold forwarded to HQS (node count above which the
-    /// main loop sweeps).  Exposed mainly so tests can force a sweep on
-    /// small instances; 0 keeps the solver default.
-    std::size_t fraigThresholdNodes = 0;
     /// Engine every job runs: hqs (default), hqs-bdd, cegar, idq, expand,
     /// or a portfolio race of the first portfolioEngines racers (0 = all).
     api::EngineSpec engine;

@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <sstream>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <unordered_set>
@@ -781,8 +783,10 @@ TEST(AigKernel, ScanCacheMatchesFreshWalksAcrossEveryMatrixChange)
     const AigEdge small = aig.mkAnd(aig.mkOr(aig.variable(0), v1),
                                     clause(aig, {~v1, aig.variable(2), aig.variable(3)}));
     const AigEdge root = aig.mkAnd(small, wideCone(aig, rng, 4, 12, 400));
+    // The cone stays between nodeLimit/8 and nodeLimit: the next
+    // housekeeping sweeps.
     ElimLimits limits;
-    limits.fraigThresholdNodes = 0; // the next housekeeping sweeps
+    limits.nodeLimit = 2 * aig.coneSize(root);
     ElimStats stats;
     SkolemRecorder rec;
     ElimKernel kernel(aig, root, limits, &rec, stats);
@@ -853,6 +857,180 @@ TEST(AigKernel, ScanCacheMatchesFreshWalksAcrossEveryMatrixChange)
     kernel.matrix() = scanned;
     expectFresh("foreign gc");
     EXPECT_EQ(stats.scans, scansBeforeForeignGc + 1);
+}
+
+// ------------------------------------------------ FRAIG as a budget step
+//
+// ElimKernel::housekeeping sweeps only under a node budget: a cone past
+// nodeLimit/8 that has doubled since the last sweep, and a cone over
+// nodeLimit that has grown since, once, before it is judged a memout.
+// XOR chains over fresh variables are irreducible (every node computes its
+// own function), so their sizes are exact; an XOR tree over a chain's
+// variables is the chain's function in another shape, which FRAIG merges.
+
+/// x_first ^ ... ^ x_{first+count-1} as a left-deep chain.
+AigEdge xorChain(Aig& aig, Var first, Var count)
+{
+    AigEdge out = aig.variable(first);
+    for (Var v = first + 1; v < first + count; ++v) out = aig.mkXor(out, aig.variable(v));
+    return out;
+}
+
+/// The same parity as xorChain, built as a balanced tree.
+AigEdge xorTree(Aig& aig, Var first, Var count)
+{
+    if (count == 1) return aig.variable(first);
+    const Var half = count / 2;
+    return aig.mkXor(xorTree(aig, first, half), xorTree(aig, first + half, count - half));
+}
+
+std::size_t counter(obs::MetricScope& scope, const char* name)
+{
+    return static_cast<std::size_t>(scope.value(obs::metric(name, obs::MetricKind::Counter)));
+}
+
+TEST(AigKernel, UnbudgetedOrSmallConeIsNeverSwept)
+{
+    Aig aig;
+    const AigEdge root = xorChain(aig, 0, 7000);
+    const std::size_t cone = aig.coneSize(root);
+    ASSERT_GT(cone, 20000u);
+
+    for (const std::size_t nodeLimit : {std::size_t{0}, 8 * (cone + 1)}) {
+        ElimLimits limits;
+        limits.nodeLimit = nodeLimit; // none, or the cone just under nodeLimit/8
+        ElimStats stats;
+        obs::MetricScope scope;
+        ElimKernel kernel(aig, root, limits, nullptr, stats);
+        EXPECT_EQ(kernel.housekeeping(), SolveResult::Unknown) << nodeLimit;
+        EXPECT_EQ(kernel.housekeeping(), SolveResult::Unknown) << nodeLimit;
+        EXPECT_EQ(stats.fraigRuns, 0u) << nodeLimit;
+        EXPECT_EQ(counter(scope, "fraig.runs"), 0u) << nodeLimit;
+    }
+}
+
+TEST(AigKernel, NearBudgetConeIsSweptOnceAndAgainOnlyAfterItDoubles)
+{
+    Aig aig;
+    const AigEdge root = xorChain(aig, 0, 100);
+    const std::size_t cone = aig.coneSize(root);
+    ElimLimits limits;
+    limits.nodeLimit = 4 * cone; // cone sits between nodeLimit/8 and nodeLimit
+    ElimStats stats;
+    ElimKernel kernel(aig, root, limits, nullptr, stats);
+
+    ASSERT_EQ(kernel.housekeeping(), SolveResult::Unknown);
+    EXPECT_EQ(stats.fraigRuns, 1u);
+    EXPECT_EQ(kernel.matrix(), root); // irreducible: rebuilt onto itself
+    ASSERT_EQ(kernel.housekeeping(), SolveResult::Unknown);
+    EXPECT_EQ(stats.fraigRuns, 1u); // same size: no second sweep
+
+    kernel.matrix() = aig.mkAnd(kernel.matrix(), xorChain(aig, 200, 50));
+    const std::size_t grown = aig.coneSize(kernel.matrix());
+    ASSERT_GT(grown, cone);
+    ASSERT_LE(grown, 2 * cone);
+    ASSERT_EQ(kernel.housekeeping(), SolveResult::Unknown);
+    EXPECT_EQ(stats.fraigRuns, 1u); // grown, not doubled
+
+    kernel.matrix() = aig.mkAnd(kernel.matrix(), xorChain(aig, 300, 60));
+    const std::size_t doubled = aig.coneSize(kernel.matrix());
+    ASSERT_GT(doubled, 2 * cone);
+    ASSERT_LE(doubled, limits.nodeLimit);
+    ASSERT_EQ(kernel.housekeeping(), SolveResult::Unknown);
+    EXPECT_EQ(stats.fraigRuns, 2u);
+}
+
+TEST(AigKernel, OverBudgetSweepThatShrinksTheConeAvertsTheMemout)
+{
+    for (const bool fraig : {true, false}) {
+        Aig aig;
+        const AigEdge chain = xorChain(aig, 0, 60);
+        const AigEdge root = aig.mkAnd(chain, xorTree(aig, 0, 60)); // == chain
+        const std::size_t reduced = aig.coneSize(chain);
+        ElimLimits limits;
+        limits.fraig = fraig;
+        limits.nodeLimit = reduced * 3 / 2; // over budget until swept
+        ASSERT_GT(aig.coneSize(root), limits.nodeLimit);
+        ElimStats stats;
+        obs::MetricScope scope;
+        ElimKernel kernel(aig, root, limits, nullptr, stats);
+        if (fraig) {
+            EXPECT_EQ(kernel.housekeeping(), SolveResult::Unknown);
+            EXPECT_EQ(stats.fraigRuns, 1u);
+            EXPECT_EQ(aig.coneSize(kernel.matrix()), reduced);
+            EXPECT_EQ(counter(scope, "fraig.over_budget"), 1u);
+            EXPECT_EQ(counter(scope, "fraig.rescued"), 1u);
+        } else {
+            EXPECT_EQ(kernel.housekeeping(), SolveResult::Memout);
+            EXPECT_EQ(stats.fraigRuns, 0u);
+        }
+    }
+}
+
+TEST(AigKernel, IrreducibleOverBudgetConeIsAMemoutAfterExactlyOneSweep)
+{
+    Aig aig;
+    const AigEdge root = xorChain(aig, 0, 200);
+    ElimLimits limits;
+    limits.nodeLimit = aig.coneSize(root) / 2;
+    ElimStats stats;
+    obs::MetricScope scope;
+    ElimKernel kernel(aig, root, limits, nullptr, stats);
+
+    EXPECT_EQ(kernel.housekeeping(), SolveResult::Memout);
+    EXPECT_EQ(stats.fraigRuns, 1u);
+    EXPECT_EQ(kernel.housekeeping(), SolveResult::Memout);
+    EXPECT_EQ(stats.fraigRuns, 1u); // not grown since: judged without a sweep
+    EXPECT_EQ(counter(scope, "fraig.runs"), 1u);
+    EXPECT_EQ(counter(scope, "fraig.over_budget"), 1u);
+    EXPECT_EQ(counter(scope, "fraig.rescued"), 0u);
+}
+
+TEST(AigKernel, FraigRegistryCountersAndTriggersMatchTheKernelsSweeps)
+{
+    Aig aig;
+    const AigEdge chain = xorChain(aig, 0, 100);
+    const std::size_t cone = aig.coneSize(chain);
+    ElimLimits limits;
+    limits.nodeLimit = cone * 3 / 2; // room for the chain's 100 input nodes
+    ElimStats stats;
+    obs::MetricScope scope;
+    obs::enableTracing(true);
+    obs::clearTrace();
+    ElimKernel kernel(aig, chain, limits, nullptr, stats);
+
+    // Near budget; then over budget, grown but not doubled, with a
+    // redundant copy of the chain's first 60 variables (rescued); then over
+    // budget with irreducible bulk (a memout).
+    const SolveResult near = kernel.housekeeping();
+    kernel.matrix() = aig.mkAnd(kernel.matrix(), xorTree(aig, 0, 60));
+    const std::size_t grown = aig.coneSize(kernel.matrix());
+    ASSERT_GT(grown, limits.nodeLimit);
+    ASSERT_LE(grown, 2 * cone);
+    const SolveResult rescued = kernel.housekeeping();
+    kernel.matrix() = aig.mkAnd(kernel.matrix(), xorChain(aig, 200, 100));
+    const SolveResult memout = kernel.housekeeping();
+    obs::enableTracing(false);
+    std::ostringstream os;
+    obs::writeChromeTrace(os);
+    obs::clearTrace();
+
+    EXPECT_EQ(near, SolveResult::Unknown);
+    EXPECT_EQ(rescued, SolveResult::Unknown);
+    EXPECT_EQ(memout, SolveResult::Memout);
+    EXPECT_EQ(stats.fraigRuns, 3u);
+    EXPECT_EQ(counter(scope, "fraig.runs"), stats.fraigRuns);
+    EXPECT_EQ(counter(scope, "fraig.over_budget"), 2u);
+    EXPECT_EQ(counter(scope, "fraig.rescued"), 1u);
+    auto occurrences = [json = os.str()](const std::string& needle) {
+        std::size_t n = 0;
+        for (std::size_t at = json.find(needle); at != std::string::npos;
+             at = json.find(needle, at + 1))
+            ++n;
+        return n;
+    };
+    EXPECT_EQ(occurrences("\"trigger\":\"near-budget\""), 1u);
+    EXPECT_EQ(occurrences("\"trigger\":\"over-budget\""), 2u);
 }
 
 } // namespace

@@ -37,8 +37,8 @@ std::string dataPath(const std::string& name)
 }
 
 /// A formula preprocessing cannot decide, so solving it reaches the main
-/// elimination loop (and therefore the FRAIG sweep when the threshold is
-/// forced down).
+/// elimination loop (and therefore the FRAIG sweep under a node budget of
+/// 1000, whose nodeLimit/8 its cone passes).
 DqbfFormula nontrivialFormula()
 {
     return encodePec(makeInstance(Family::Adder, 4, true)).formula;
@@ -529,7 +529,7 @@ TEST(Ladder, InjectedFraigBadAllocDegradesToNoFraigAndStillAnswers)
 
     BatchOptions opts;
     opts.numWorkers = 1;
-    opts.fraigThresholdNodes = 1; // force a sweep even on this small cone
+    opts.nodeLimit = 1000; // the adder cone passes nodeLimit/8: a sweep runs
     BatchScheduler scheduler(opts);
     std::ostringstream jsonl;
     fault::ScopedFault guard("fraig");
@@ -745,30 +745,38 @@ TEST(EnvFault, BatchSurvivesTheArmedSiteAndVerdictsStayCorrect)
     const std::string site = fault::armedSite();
     if (site.empty()) GTEST_SKIP() << "HQS_FAULT not set; run via the faults/* partition";
 
-    const std::vector<std::string> files =
-        BatchScheduler::collectInstances(HQS_TEST_DATA_DIR);
+    std::vector<std::string> files = BatchScheduler::collectInstances(HQS_TEST_DATA_DIR);
     ASSERT_EQ(files.size(), 2u);
+    // Preprocessing decides both examples; the adder reaches the solver's
+    // later sites, the budget-driven FRAIG sweep among them.
+    const std::filesystem::path adder =
+        writeFormulaFile(nontrivialFormula(), "hqs_envfault_" + std::to_string(getpid()),
+                         "adder.dqdimacs");
+    files.push_back(adder.string());
 
     BatchOptions opts;
     opts.numWorkers = 2;
-    opts.fraigThresholdNodes = 1; // give the "fraig" site a chance to fire
+    opts.nodeLimit = 1000; // the adder cone passes nodeLimit/8: a sweep runs
     BatchScheduler scheduler(opts);
     std::ostringstream jsonl;
     const std::vector<BatchJobResult> results = scheduler.run(files, &jsonl);
+    std::filesystem::remove_all(adder.parent_path());
 
-    ASSERT_EQ(results.size(), 2u);
+    ASSERT_EQ(results.size(), files.size());
+    // files are sorted: example1_sat before example1_unsat; the adder is
+    // realizable, so SAT.
+    const SolveResult expected[] = {SolveResult::Sat, SolveResult::Unsat, SolveResult::Sat};
     std::size_t conclusive = 0;
     for (std::size_t i = 0; i < results.size(); ++i) {
         const BatchJobResult& r = results[i];
         if (isConclusive(r.result)) {
             ++conclusive;
-            // files are sorted: example1_sat before example1_unsat
-            EXPECT_EQ(r.result, i == 0 ? SolveResult::Sat : SolveResult::Unsat)
-                << r.instance << " at site " << site;
+            EXPECT_EQ(r.result, expected[i]) << r.instance << " at site " << site;
         }
     }
+    EXPECT_TRUE(fault::armedSite().empty()) << "site " << site << " was never reached";
     // The fault is one-shot, so at most one job can be affected — and with
     // the ladder armed, crash-style faults usually still conclude.  A
-    // "pool-dispatch" fault swallows one whole job, hence >= 1, not == 2.
+    // "pool-dispatch" fault swallows one whole job, hence >= 1, not == 3.
     EXPECT_GE(conclusive, 1u) << "site " << site;
 }

@@ -260,6 +260,25 @@ TEST(ObsTrace, RecordsNestedSpansWithArgs)
     obs::clearTrace();
 }
 
+TEST(ObsTrace, StringArgsExportAsJsonStrings)
+{
+    obs::enableTracing(true);
+    obs::clearTrace();
+    {
+        obs::SpanScope span("t.sweep");
+        span.arg("trigger", "near-budget");
+        span.arg("nodes", 7);
+    }
+    obs::enableTracing(false);
+
+    std::ostringstream os;
+    obs::writeChromeTrace(os);
+    EXPECT_NE(os.str().find("\"args\":{\"trigger\":\"near-budget\",\"nodes\":7}"),
+              std::string::npos)
+        << os.str();
+    obs::clearTrace();
+}
+
 TEST(ObsTrace, CurrentSpanNameTracksInnermost)
 {
     EXPECT_STREQ(obs::currentSpanName(), "");

@@ -3,6 +3,9 @@
 // brute-force oracle on randomized prefixes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
 #include "src/qbf/aig_qbf_solver.hpp"
@@ -54,6 +57,53 @@ TEST(QbfPrefix, RemoveLastVarEmptiesPrefix)
     p.addVar(QuantKind::Forall, 5);
     p.removeVar(5);
     EXPECT_TRUE(p.empty());
+}
+
+TEST(QbfPrefix, IndexAgreesWithAScanOfTheBlocks)
+{
+    // contains/kindOf answer from a Var -> block index; check them against
+    // a scan of blocks() (outermost copy wins) through random additions,
+    // removals, block merges and repeated variables.
+    Rng rng(7);
+    constexpr Var kRange = 12;
+    for (int round = 0; round < 200; ++round) {
+        QbfPrefix p;
+        for (int step = 0; step < 30; ++step) {
+            if (rng.below(3) == 0) {
+                std::vector<Var> vars;
+                for (std::uint64_t i = rng.below(3); i > 0; --i) {
+                    vars.push_back(static_cast<Var>(rng.below(kRange)));
+                }
+                p.addBlock(rng.flip() ? QuantKind::Forall : QuantKind::Exists, vars);
+            } else {
+                p.removeVar(static_cast<Var>(rng.below(kRange)));
+            }
+            for (Var v = 0; v < kRange + 2; ++v) {
+                const QbfBlock* first = nullptr;
+                for (const QbfBlock& b : p.blocks()) {
+                    if (std::find(b.vars.begin(), b.vars.end(), v) != b.vars.end()) {
+                        first = &b;
+                        break;
+                    }
+                }
+                ASSERT_EQ(p.contains(v), first != nullptr) << round << "/" << step << " v" << v;
+                if (first) {
+                    ASSERT_EQ(p.kindOf(v), first->kind) << round << "/" << step;
+                }
+            }
+        }
+    }
+}
+
+TEST(QbfPrefix, EqualityComparesBlocksOnly)
+{
+    QbfPrefix a;
+    a.addBlock(QuantKind::Exists, {0, 1});
+    QbfPrefix b;
+    b.addBlock(QuantKind::Exists, {0, 1, 40});
+    EXPECT_NE(a, b);
+    b.removeVar(40); // b's index still spans variable 40
+    EXPECT_EQ(a, b);
 }
 
 TEST(QbfFromParsed, FreeVariablesBecomeOuterExistentials)
