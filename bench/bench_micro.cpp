@@ -131,7 +131,7 @@ BENCHMARK(BM_AigSubstitute)->Arg(1000)->Arg(10000);
 void BM_GcMarkCompact(benchmark::State& state)
 {
     // Mark-and-compact with half the pool garbage: rebuild the node vector,
-    // rewire the kept root, rehash the strash, remap the op cache.
+    // rewire the kept root, rehash the strash.
     const auto gates = static_cast<unsigned>(state.range(0));
     for (auto _ : state) {
         state.PauseTiming();

@@ -93,12 +93,6 @@ std::uint64_t Aig::strashHash(std::uint32_t aCode, std::uint32_t bCode)
     return z;
 }
 
-std::uint64_t Aig::opHash(std::uint32_t nodeIdx, Var v, std::uint32_t gCode)
-{
-    return strashHash(nodeIdx, gCode) ^
-           (static_cast<std::uint64_t>(v) * 0x9e3779b97f4a7c15ull);
-}
-
 AigEdge Aig::mkAndRaw(AigEdge a, AigEdge b)
 {
     if (b < a) std::swap(a, b);
@@ -259,46 +253,6 @@ bool Aig::evaluate(AigEdge root, const std::vector<bool>& assignment) const
     return (trav_.get(root.nodeIndex()) != 0) != root.complemented();
 }
 
-std::uint64_t Aig::simulate(AigEdge root,
-                            const std::unordered_map<Var, std::uint64_t>& inputWords) const
-{
-    // Iterative post-order simulation; slot holds the node's 64-bit word.
-    trav_.reset(nodes_.size());
-    trav_.set(0, 0); // constant: all-zero word (FALSE)
-    stack_.clear();
-    stack_.push_back(root.nodeIndex());
-    while (!stack_.empty()) {
-        const std::uint32_t idx = stack_.back();
-        if (trav_.has(idx)) {
-            stack_.pop_back();
-            continue;
-        }
-        const Node& n = nodes_[idx];
-        if (n.extVar != kNoVar) {
-            auto it = inputWords.find(n.extVar);
-            trav_.set(idx, (it != inputWords.end()) ? it->second : 0);
-            stack_.pop_back();
-            continue;
-        }
-        const std::uint32_t i0 = n.fanin0.nodeIndex();
-        const std::uint32_t i1 = n.fanin1.nodeIndex();
-        if (!trav_.has(i0)) {
-            stack_.push_back(i0);
-            continue;
-        }
-        if (!trav_.has(i1)) {
-            stack_.push_back(i1);
-            continue;
-        }
-        const std::uint64_t w0 = n.fanin0.complemented() ? ~trav_.get(i0) : trav_.get(i0);
-        const std::uint64_t w1 = n.fanin1.complemented() ? ~trav_.get(i1) : trav_.get(i1);
-        trav_.set(idx, w0 & w1);
-        stack_.pop_back();
-    }
-    const std::uint64_t w = trav_.get(root.nodeIndex());
-    return root.complemented() ? ~w : w;
-}
-
 AigEdge Aig::importCone(const Aig& src, AigEdge root)
 {
     std::vector<AigEdge> result(src.nodes_.size(), AigEdge());
@@ -387,34 +341,6 @@ void Aig::garbageCollect(std::vector<AigEdge*> roots)
         if (nodes_[idx].extVar == kNoVar) strashInsertNew(idx);
     }
 
-    // Remap surviving operation-cache entries instead of discarding them:
-    // an entry whose node, argument, and result cones all survived is still
-    // a valid memo under the new indices.
-    if (!opCache_.empty()) {
-        std::vector<OpEntry> newCache(opCache_.size());
-        for (const OpEntry& e : opCache_) {
-            if (e.key == kOpEmptyKey) continue;
-            const auto nodeIdx = static_cast<std::uint32_t>(e.key >> 32);
-            const AigEdge g = AigEdge::fromCode(static_cast<std::uint32_t>(e.key));
-            const AigEdge res = AigEdge::fromCode(e.res);
-            if (nodeIdx >= oldSize || !reachable[nodeIdx]) continue;
-            if (g.nodeIndex() >= oldSize || !reachable[g.nodeIndex()]) continue;
-            if (res.nodeIndex() >= oldSize || !reachable[res.nodeIndex()]) continue;
-            const std::uint32_t newNode = remap[nodeIdx];
-            const AigEdge newG = AigEdge(remap[g.nodeIndex()], g.complemented());
-            const AigEdge newRes = AigEdge(remap[res.nodeIndex()], res.complemented());
-            OpEntry m;
-            m.key = (static_cast<std::uint64_t>(newNode) << 32) | newG.code();
-            m.var = e.var;
-            m.res = newRes.code();
-            const std::size_t slot =
-                static_cast<std::size_t>(opHash(newNode, e.var, newG.code())) &
-                (newCache.size() - 1);
-            newCache[slot] = m;
-        }
-        opCache_ = std::move(newCache);
-    }
-
     for (AigEdge* r : roots) {
         *r = AigEdge(remap[r->nodeIndex()], r->complemented());
     }
@@ -432,8 +358,6 @@ void Aig::publishKernelStats()
     AigKernelStats& p = published_;
     OBS_COUNT("aig.strash.probes", static_cast<std::int64_t>(s.strashProbes - p.strashProbes));
     OBS_COUNT("aig.strash.resizes", static_cast<std::int64_t>(s.strashResizes - p.strashResizes));
-    OBS_COUNT("aig.opcache.hits", static_cast<std::int64_t>(s.opCacheHits - p.opCacheHits));
-    OBS_COUNT("aig.opcache.misses", static_cast<std::int64_t>(s.opCacheMisses - p.opCacheMisses));
     OBS_COUNT("aig.gc.runs", static_cast<std::int64_t>(s.gcRuns - p.gcRuns));
     OBS_COUNT("aig.gc.reclaimed",
               static_cast<std::int64_t>(s.gcReclaimedNodes - p.gcReclaimedNodes));

@@ -8,26 +8,25 @@
 // nodes (full functional reduction — FRAIGing — is in fraig.hpp).
 //
 // The kernel follows the classic AIG/BDD-package disciplines (ABC's AIG
-// manager; CUDD's unique/computed tables):
+// manager; CUDD's unique table):
 //   * the strash is a power-of-two open-addressing table in one flat
 //     vector (linear probing, value = node index + 1, 0 = empty);
-//   * traversals (substitute, cofactor, support, simulate, evaluate, the
-//     Theorem-6 unit/pure walk) run on a manager-owned, generation-stamped
+//   * traversals (substitute, cofactor, support, evaluate, the Theorem-6
+//     unit/pure walk) run on a manager-owned, generation-stamped
 //     TraversalCache — bumping the generation invalidates in O(1), so the
 //     hot paths do no per-call heap allocation;
-//   * single-variable compose/cofactor results are memoized per *node* in
-//     a lossy direct-mapped operation cache that persists across calls
-//     (and across eliminations within one solver run) and is remapped —
-//     not discarded — by garbage collection;
+//   * there is no cross-call compose/cofactor cache: each elimination
+//     cofactors a fresh (variable, constant) pair, so entries would never
+//     repeat within a solve;
 //   * garbageCollect is a mark-and-compact pass: callers register their
 //     live roots, dead cones are reclaimed, the strash is rehashed, and
 //     the registered AigEdge handles are rewired through a remap table.
 //
 // On top of the core the manager provides the operations HQS needs:
 // cofactor/compose/parallel substitution (quantify.cpp), single-variable
-// existential and universal quantification, support computation, evaluation
-// and 64-way parallel simulation, the Theorem-6 syntactic unit/pure
-// detection (unit_pure.hpp), and a CNF bridge (cnf_bridge.hpp).
+// existential and universal quantification, support computation,
+// evaluation, the Theorem-6 syntactic unit/pure detection (unit_pure.cpp),
+// and a CNF bridge (cnf_bridge.hpp).
 //
 // Thread-safety: a manager is single-threaded.
 #pragma once
@@ -144,13 +143,11 @@ private:
 };
 
 /// Cumulative kernel instrumentation (monotonic over the manager's life).
-/// Mirrored into the obs registry as aig.strash.*, aig.opcache.*, aig.gc.*
+/// Mirrored into the obs registry as aig.strash.*, aig.gc.*
 /// and the aig.nodes.peak_* gauges by publishKernelStats()/garbageCollect.
 struct AigKernelStats {
     std::uint64_t strashProbes = 0;   ///< table slots inspected by mkAnd
     std::uint64_t strashResizes = 0;  ///< doublings of the strash table
-    std::uint64_t opCacheHits = 0;    ///< per-node compose/cofactor hits
-    std::uint64_t opCacheMisses = 0;  ///< per-node compose/cofactor misses
     std::uint64_t gcRuns = 0;
     std::uint64_t gcReclaimedNodes = 0;
     std::uint64_t peakLiveNodes = 0;  ///< max live nodes seen at a GC mark
@@ -159,8 +156,8 @@ struct AigKernelStats {
 
 class SatSolver; // cnf_bridge / fraig use the SAT solver
 
-/// AIG manager: owns the node pool, the structural-hashing table, the
-/// traversal cache, and the compose/cofactor operation cache.
+/// AIG manager: owns the node pool, the structural-hashing table and the
+/// traversal cache.
 class Aig {
 public:
     Aig();
@@ -199,10 +196,9 @@ public:
     AigEdge mkOrN(const std::vector<AigEdge>& es);
 
     // ----- substitution and quantification (quantify.cpp) -------------------
-    /// phi[value/v].  Memoized per node in the operation cache.
+    /// phi[value/v].
     AigEdge cofactor(AigEdge root, Var v, bool value);
-    /// phi[g/v] (single composition).  Memoized per node in the operation
-    /// cache.
+    /// phi[g/v] (single composition).
     AigEdge compose(AigEdge root, Var v, AigEdge g);
     /// Simultaneous substitution var -> function for every entry of @p sub.
     AigEdge substitute(AigEdge root, const Substitution& sub);
@@ -238,10 +234,6 @@ public:
     /// variables beyond the vector are taken as false).
     bool evaluate(AigEdge root, const std::vector<bool>& assignment) const;
 
-    /// 64-way parallel simulation: @p inputWords maps each external variable
-    /// to a 64-bit pattern word; returns the output word of @p root.
-    std::uint64_t simulate(AigEdge root, const std::unordered_map<Var, std::uint64_t>& inputWords) const;
-
     // ----- unit/pure detection (unit_pure.cpp) -----------------------------
     /// Syntactic unit/pure classification of Theorem 6, with the cone size
     /// and per-variable occurrence counts, in one O(cone + vars) walk.
@@ -249,16 +241,15 @@ public:
 
     // ----- garbage collection ----------------------------------------------
     /// Drop every node not reachable from @p roots, rebuilding the node
-    /// pool, rehashing the strash, and remapping surviving operation-cache
-    /// entries.  The edges in @p roots are updated in place.
+    /// pool and rehashing the strash.  The edges in @p roots are updated in
+    /// place.
     void garbageCollect(std::vector<AigEdge*> roots);
 
     // ----- instrumentation --------------------------------------------------
     const AigKernelStats& kernelStats() const { return stats_; }
     /// Push the deltas since the last publish into the obs registry
-    /// (aig.strash.probes, aig.strash.resizes, aig.opcache.hits,
-    /// aig.opcache.misses, aig.gc.runs, aig.gc.reclaimed and the
-    /// aig.nodes.peak_live / aig.nodes.peak_alloc gauges).  Called by
+    /// (aig.strash.probes, aig.strash.resizes, aig.gc.runs, aig.gc.reclaimed
+    /// and the aig.nodes.peak_live / aig.nodes.peak_alloc gauges).  Called by
     /// garbageCollect; call once more when a solve finishes.
     void publishKernelStats();
 
@@ -272,8 +263,8 @@ private:
     /// Generation-stamped dense per-node scratch: reset() bumps the
     /// generation (O(1)) instead of clearing, and sizes the arrays to the
     /// current pool.  Slots hold whatever the traversal needs (an edge
-    /// code, a simulation word, mark bits).  Not reentrant: one traversal
-    /// at a time (traversals never call other traversals).
+    /// code, a Boolean value, mark bits).  Not reentrant: one traversal at
+    /// a time (traversals never call other traversals).
     struct TraversalCache {
         std::vector<std::uint32_t> stamp;
         std::vector<std::uint64_t> slot;
@@ -308,15 +299,6 @@ private:
         }
     };
 
-    /// One lossy direct-mapped computed-table entry for single-variable
-    /// substitution: node `idx` with `v := g` rebuilt as edge `res`.
-    struct OpEntry {
-        std::uint64_t key = kOpEmptyKey; // (node index << 32) | g.code
-        std::uint32_t var = 0;
-        std::uint32_t res = 0;
-    };
-    static constexpr std::uint64_t kOpEmptyKey = ~0ull;
-
     AigEdge mkAndRaw(AigEdge a, AigEdge b);
 
     // strash helpers (aig.cpp)
@@ -324,11 +306,7 @@ private:
     void strashInsertNew(std::uint32_t idx); ///< insert without duplicate check
     static std::uint64_t strashHash(std::uint32_t aCode, std::uint32_t bCode);
 
-    // op-cache helpers (quantify.cpp)
-    static std::uint64_t opHash(std::uint32_t nodeIdx, Var v, std::uint32_t gCode);
-    bool opLookup(std::uint32_t idx, Var v, std::uint32_t gCode, std::uint32_t* resCode);
-    void opInsert(std::uint32_t idx, Var v, std::uint32_t gCode, std::uint32_t resCode);
-    AigEdge substituteOne(AigEdge root, Var v, AigEdge g);
+    // the one cone rebuild behind every substitution (quantify.cpp)
     template <class Lookup> AigEdge substituteImpl(AigEdge root, Lookup&& lookup);
 
     const Node& node(AigEdge e) const { return nodes_[e.nodeIndex()]; }
@@ -340,7 +318,6 @@ private:
 
     mutable TraversalCache trav_;
     mutable std::vector<std::uint32_t> stack_; ///< reused DFS stack (same non-reentrancy rule)
-    std::vector<OpEntry> opCache_;             ///< lazily sized to kOpCacheSize
     Substitution scratchSub_;
 
     AigKernelStats stats_;

@@ -86,7 +86,7 @@ struct HqsStats : ElimStats {
     double totalMilliseconds = 0.0;
 
     /// Snapshot of the AIG manager's kernel counters at the end of solve
-    /// (strash probes/resizes, op-cache hits, GC runs, peak live nodes).
+    /// (strash probes/resizes, GC runs, peak live nodes).
     AigKernelStats aigKernel;
 
     bool usedQbfBackend = false;

@@ -1,9 +1,10 @@
 // Differential and invariant tests for the rebuilt AIG kernel: the dense
-// open-addressing strash, the generation-stamped traversal cache, the
-// compose/cofactor operation cache, mark-compact garbage collection,
-// cross-manager importCone, and the live-node budget semantics built on top
-// of them, and the elimination kernel the HQS main loop and the AIG QBF
-// backend share (its cached matrix scan and batched unit/pure pass).
+// open-addressing strash, the generation-stamped traversal cache, the one
+// cone rebuild behind cofactor/compose/substitute, mark-compact garbage
+// collection, cross-manager importCone, and the live-node budget semantics
+// built on top of them, and the elimination kernel the HQS main loop and
+// the AIG QBF backend share (its cached matrix scan and batched unit/pure
+// pass).
 // Substitute/cofactor results are checked two ways: point-wise against
 // semantic evaluation over every assignment, and via SAT equivalence
 // through the CNF bridge.
@@ -168,18 +169,47 @@ TEST(AigKernel, DoubleSwapIsSatEquivalentToOriginal)
     }
 }
 
-TEST(AigKernel, OpCacheHitsOnRepeatedCofactors)
+TEST(AigKernel, RepeatedCofactorReturnsTheSameEdge)
 {
     Aig aig;
     Rng rng(11);
     const AigEdge f = randomCone(aig, rng, 200);
     const AigEdge first = aig.cofactor(f, 0, true);
-    const std::uint64_t missesAfterFirst = aig.kernelStats().opCacheMisses;
+    const std::size_t nodesAfterFirst = aig.numNodes();
     const AigEdge second = aig.cofactor(f, 0, true);
     EXPECT_EQ(first, second);
-    EXPECT_GT(aig.kernelStats().opCacheHits, 0u);
-    // The repeat run must be answered from the cache, not recomputed.
-    EXPECT_EQ(aig.kernelStats().opCacheMisses, missesAfterFirst);
+    // Structural hashing finds every rebuilt node: the repeat allocates none.
+    EXPECT_EQ(aig.numNodes(), nodesAfterFirst);
+}
+
+TEST(AigKernel, SingleVariablePathsMatchTheGenericRebuild)
+{
+    // cofactor, compose and a one-entry substitute must give the identical
+    // edge as a two-entry substitute whose second entry maps a variable to
+    // itself (which forces the generic multi-variable lookup).
+    for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+        Aig aig;
+        Rng rng(seed * 131);
+        const AigEdge f = randomCone(aig, rng, 150);
+        const AigEdge g = randomCone(aig, rng, 20);
+        const Var v = static_cast<Var>(rng.below(kVars));
+        const Var w = static_cast<Var>((v + 1 + rng.below(kVars - 1)) % kVars);
+        auto generic = [&](AigEdge image) {
+            Substitution sub;
+            sub.set(v, image);
+            sub.set(w, aig.variable(w));
+            return aig.substitute(f, sub);
+        };
+        for (const bool value : {false, true}) {
+            const AigEdge expected = generic(value ? aig.constTrue() : aig.constFalse());
+            EXPECT_EQ(aig.cofactor(f, v, value), expected) << "seed " << seed;
+        }
+        const AigEdge expected = generic(g);
+        EXPECT_EQ(aig.compose(f, v, g), expected) << "seed " << seed;
+        Substitution one;
+        one.set(v, g);
+        EXPECT_EQ(aig.substitute(f, one), expected) << "seed " << seed;
+    }
 }
 
 // ---------------------------------------------------------------- GC -----
@@ -245,8 +275,8 @@ TEST(AigKernel, RepeatedSubstituteGcCyclesStaySound)
         randomCone(aig, rng, 400); // strand garbage
         aig.garbageCollect({&f});
         ASSERT_EQ(truthTable(aig, f), tt) << "round " << round;
-        // A cofactor answered through the (GC-remapped) op cache must agree
-        // with semantic evaluation as well.
+        // A cofactor of the compacted pool must agree with semantic
+        // evaluation as well.
         const AigEdge cof = aig.cofactor(f, 0, true);
         for (unsigned bits = 0; bits < (1u << kVars); ++bits) {
             std::vector<bool> asg = assignmentFromBits(bits);

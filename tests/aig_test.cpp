@@ -192,28 +192,6 @@ TEST(Aig, ConeSizeCountsAndNodes)
     EXPECT_EQ(aig.coneSize(f), 3u);
 }
 
-TEST(Aig, SimulateMatchesEvaluate)
-{
-    Aig aig;
-    Rng rng(5);
-    // Random 4-variable function.
-    const Var n = 4;
-    std::vector<AigEdge> vars;
-    for (Var v = 0; v < n; ++v) vars.push_back(aig.variable(v));
-    AigEdge f = aig.mkXor(aig.mkAnd(vars[0], ~vars[1]), aig.mkOr(vars[2], vars[3]));
-
-    // Pack all 16 assignments into one simulation word.
-    std::unordered_map<Var, std::uint64_t> words;
-    for (Var v = 0; v < n; ++v) {
-        std::uint64_t w = 0;
-        for (unsigned bits = 0; bits < 16; ++bits)
-            if ((bits >> v) & 1u) w |= 1ull << bits;
-        words[v] = w;
-    }
-    const std::uint64_t sim = aig.simulate(f, words);
-    EXPECT_EQ(sim & 0xffffull, truthTable(aig, f, n));
-}
-
 TEST(Aig, GarbageCollectKeepsRoots)
 {
     Aig aig;
