@@ -69,6 +69,7 @@
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
+#include "src/runtime/cache_plan.hpp"
 #include "src/runtime/execute.hpp"
 #include "src/strategy/spec.hpp"
 
@@ -195,17 +196,9 @@ int main(int argc, char** argv)
         }
         rcache = std::make_shared<cache::ResultCache>(cfg);
     }
-    using CacheMode = strategy::CachePolicy::Mode;
-    CacheMode cmode = strategySpec ? strategySpec->cache.mode : CacheMode::On;
-    if (request.cacheControl == "on") cmode = CacheMode::On;
-    else if (request.cacheControl == "off") cmode = CacheMode::Off;
-    else if (request.cacheControl == "bypass") cmode = CacheMode::Bypass;
-    bool cacheRead = rcache && cmode == CacheMode::On;
-    bool cacheWrite = rcache && cmode != CacheMode::Off;
 
     DqbfFormula formula;
-    cache::CanonicalKey cacheKey;
-    std::uint64_t certHash = 0;
+    api::CachePlan cachePlan;
     try {
         std::string text;
         if (path == "-") {
@@ -221,19 +214,13 @@ int main(int argc, char** argv)
         }
         const bool dqcir = request.format == "dqcir" ||
                            (request.format.empty() && looksLikeDqcir(text));
-        if (dqcir && (cacheRead || cacheWrite)) {
-            // The cache key canonicalizes CNF; a lowering's Tseitin
-            // numbering is an implementation detail not worth persisting.
-            OBS_COUNT("cache.bypass.format", 1);
+        cachePlan = api::planCache(rcache.get(), strategySpec ? &*strategySpec : nullptr,
+                                   request.cacheControl, dqcir);
+        if (cachePlan.circuitBypassed)
             std::cout << "c cache               : bypassed (circuit input)\n";
-            cacheRead = cacheWrite = false;
-        }
         const ParsedQdimacs parsed = dqcir ? lowerDqcir(parseDqcirString(text))
                                            : parseDqdimacsString(text);
-        if (cacheRead || cacheWrite) {
-            cacheKey = cache::canonicalKey(parsed);
-            certHash = cert::formulaHash(parsed);
-        }
+        cachePlan.keyBy(parsed);
         formula = DqbfFormula::fromParsed(parsed);
     } catch (...) {
         // Not only ParseError: an injected parse-site fault (HQS_FAULT=parse)
@@ -248,72 +235,45 @@ int main(int argc, char** argv)
               << formula.existentials().size() << " existentials, "
               << formula.matrix().numClauses() << " clauses\n";
 
-    if (cacheRead) {
-        try {
-            if (std::optional<cache::CacheEntry> entry = rcache->lookup(cacheKey);
-                entry && isConclusive(entry->result)) {
-                bool serveFromCache = true;
-                if (request.certify && entry->result == SolveResult::Sat) {
-                    // Re-verify the hash binding before reusing the cached
-                    // artifact; a mismatch withholds it (typed rejection).
-                    // A certify request that the entry cannot satisfy falls
-                    // through to a fresh solve rather than serving a bare
-                    // verdict the caller asked to see certified.
-                    switch (cache::vetCachedCertificate(*entry, certHash)) {
-                        case cache::CertReuse::Served: {
-                            const cert::CheckResult check =
-                                cert::checkCertificateText(entry->certificate);
-                            std::ofstream out(certifyPath);
-                            if (out) {
-                                std::cout << "c cache               : hit ("
-                                          << (entry->engine.empty() ? "?"
-                                                                    : entry->engine)
-                                          << ", " << entry->solveMilliseconds
-                                          << " ms original solve)\n";
-                                out << entry->certificate;
-                                std::cout << "c certificate         : "
-                                          << entry->certificate.size()
-                                          << " bytes from cache, self-check "
-                                          << (check.ok() ? "ok" : "FAILED")
-                                          << " -> " << certifyPath << "\n";
-                            } else {
-                                std::cerr << "cannot write certificate file: "
-                                          << certifyPath << "\n";
-                            }
-                            break;
-                        }
-                        case cache::CertReuse::None:
-                            std::cout << "c cache               : verdict hit, no "
-                                         "cached artifact; solving fresh to "
-                                         "certify\n";
-                            serveFromCache = false;
-                            break;
-                        case cache::CertReuse::HashMismatch:
-                        case cache::CertReuse::MalformedArtifact:
-                            std::cout << "c cache               : cached artifact "
-                                         "rejected (hash binding failed); solving "
-                                         "fresh to certify\n";
-                            serveFromCache = false;
-                            break;
-                    }
-                } else {
-                    std::cout << "c cache               : hit ("
-                              << (entry->engine.empty() ? "?" : entry->engine)
-                              << ", " << entry->solveMilliseconds
-                              << " ms original solve)\n";
-                }
-                if (serveFromCache) {
-                    std::cout << "s " << entry->result << "\n";
-                    if (entry->result == SolveResult::Sat) return 10;
-                    if (entry->result == SolveResult::Unsat) return 20;
-                }
+    std::string lookupError;
+    if (const std::optional<api::CacheHit> hit =
+            api::lookupCache(cachePlan, request.certify, &lookupError)) {
+        const cache::CacheEntry& entry = hit->entry;
+        const std::optional<cache::CertReuse> reuse = hit->cert;
+        // A certify request whose cached certificate cannot be served falls
+        // through to a fresh solve rather than serving a bare verdict the
+        // caller asked to see certified.
+        if (reuse == cache::CertReuse::None) {
+            std::cout << "c cache               : verdict hit, no cached artifact; "
+                         "solving fresh to certify\n";
+        } else if (reuse && *reuse != cache::CertReuse::Served) {
+            std::cout << "c cache               : cached artifact rejected (hash "
+                         "binding failed); solving fresh to certify\n";
+        } else {
+            const auto printHit = [&] {
+                std::cout << "c cache               : hit ("
+                          << (entry.engine.empty() ? "?" : entry.engine) << ", "
+                          << entry.solveMilliseconds << " ms original solve)\n";
+            };
+            if (!reuse) {
+                printHit();
+            } else if (std::ofstream out(certifyPath); out) {
+                const cert::CheckResult check = cert::checkCertificateText(entry.certificate);
+                printHit();
+                out << entry.certificate;
+                std::cout << "c certificate         : " << entry.certificate.size()
+                          << " bytes from cache, self-check " << (check.ok() ? "ok" : "FAILED")
+                          << " -> " << certifyPath << "\n";
+            } else {
+                std::cerr << "cannot write certificate file: " << certifyPath << "\n";
             }
-        } catch (const std::exception& e) {
-            // A cache-layer failure (real or injected HQS_FAULT=cache-load)
-            // degrades to a miss: report it and solve normally.
-            std::cout << "c cache               : error, solving fresh (" << e.what()
-                      << ")\n";
+            std::cout << "s " << entry.result << "\n";
+            return entry.result == SolveResult::Sat ? 10 : 20;
         }
+    } else if (!lookupError.empty()) {
+        // A cache-layer failure (real or injected HQS_FAULT=cache-load)
+        // degrades to a miss: report it and solve normally.
+        std::cout << "c cache               : error, solving fresh (" << lookupError << ")\n";
     }
 
     if (!tracePath.empty()) obs::enableTracing(true);
@@ -457,21 +417,14 @@ int main(int argc, char** argv)
                   << (failure.site.empty() ? "" : " site=" + failure.site) << " what=\""
                   << failure.what << "\"\n";
     }
-    if (cacheWrite && isConclusive(result)) {
-        try {
-            cache::CacheEntry entry;
-            entry.result = result;
-            entry.engine = run.engine;
-            entry.solveMilliseconds = solveTimer.elapsedMilliseconds();
-            entry.certFormulaHash = certHash;
-            entry.certificate = run.certificate;
-            rcache->store(cacheKey, entry);
-            std::cout << "c cache               : stored\n";
-        } catch (const std::exception& e) {
-            // A cache write failure (real or injected HQS_FAULT=cache-store)
-            // never taints the verdict.
-            std::cout << "c cache               : store failed (" << e.what() << ")\n";
-        }
+    std::string storeError;
+    if (api::storeCache(cachePlan, result, run.engine, solveTimer.elapsedMilliseconds(),
+                        run.certificate, &storeError)) {
+        std::cout << "c cache               : stored\n";
+    } else if (!storeError.empty()) {
+        // A cache write failure (real or injected HQS_FAULT=cache-store)
+        // never taints the verdict.
+        std::cout << "c cache               : store failed (" << storeError << ")\n";
     }
     std::cout << "s " << result << "\n";
     if (result == SolveResult::Sat) return 10;

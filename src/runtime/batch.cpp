@@ -16,6 +16,7 @@
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/obs.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
+#include "src/runtime/cache_plan.hpp"
 #include "src/runtime/execute.hpp"
 #include "src/runtime/session.hpp"
 #include "src/runtime/thread_pool.hpp"
@@ -579,26 +580,20 @@ std::vector<BatchJobResult> BatchScheduler::run(const std::vector<std::string>& 
                                : opts_.ladder;
 
     // Canonical pre-scan, feeding both dedup (identical instances solve
-    // once) and the result cache (lookup/store key + the certificate's
-    // formula-hash binding).  A file that fails to parse here gets an empty
-    // key and runs as its own job — the solve path will report the
+    // once) and the result cache (each job's plan is keyed by the scanned
+    // key and certificate formula hash).  A file that fails to parse here
+    // gets no key and runs as its own job — the solve path will report the
     // ParseError with full context.
     struct ScanInfo {
         bool parsed = false;
-        bool dqcir = false; ///< circuit-form instance: dedup yes, cache no
         cache::CanonicalKey key;
         std::uint64_t certHash = 0;
     };
-    const cache::ResultCache* cacheConfigured = opts_.resultCache.get();
-    const strategy::CachePolicy::Mode cacheMode =
-        opts_.strategy ? opts_.strategy->cache.mode
-                       : strategy::CachePolicy::Mode::On;
-    const bool cacheRead = cacheConfigured &&
-                           cacheMode == strategy::CachePolicy::Mode::On;
-    const bool cacheWrite = cacheConfigured &&
-                            cacheMode != strategy::CachePolicy::Mode::Off;
-    const bool needScan =
-        (opts_.dedup && files.size() > 1) || cacheRead || cacheWrite;
+    // The run-wide cache policy; each job re-plans for its own input format.
+    const strategy::StrategySpec* strat = opts_.strategy ? &*opts_.strategy : nullptr;
+    const bool cacheLive =
+        api::planCache(opts_.resultCache.get(), strat, {}, /*circuit=*/false).active();
+    const bool needScan = (opts_.dedup && files.size() > 1) || cacheLive;
     std::vector<ScanInfo> scan(files.size());
     // repOf[i] == i: solve normally.  repOf[i] == j < i: copy row j.
     std::vector<std::size_t> repOf(files.size());
@@ -641,7 +636,6 @@ std::vector<BatchJobResult> BatchScheduler::run(const std::vector<std::string>& 
                 scan[i].key = cache::canonicalKey(parsed);
                 scan[i].certHash = cert::formulaHash(parsed);
                 scan[i].parsed = true;
-                scan[i].dqcir = isDqcirPath(files[i]);
             } catch (const std::exception&) {
                 continue;
             }
@@ -744,45 +738,23 @@ std::vector<BatchJobResult> BatchScheduler::run(const std::vector<std::string>& 
                 BatchJobResult& r = results[i];
                 r.instance = files[i];
                 Timer t;
-                bool servedFromCache = false;
-                // Circuit-form instances never touch the result cache: the
-                // cache key is defined over the CNF canonicalization, and
-                // Tseitin variable numbering is an implementation detail we
-                // refuse to bake into persisted entries.  A typed counter
-                // keeps the bypass observable.
-                if (cacheRead && scan[i].dqcir)
-                    OBS_COUNT("cache.bypass.format", 1);
-                if (cacheRead && scan[i].parsed && !scan[i].dqcir &&
-                    !opts_.cancel.cancelled()) {
-                    try {
-                        if (std::optional<cache::CacheEntry> entry =
-                                opts_.resultCache->lookup(scan[i].key);
-                            entry && isConclusive(entry->result)) {
-                            r.result = entry->result;
-                            r.engine = entry->engine;
-                            r.rung = "cache";
-                            r.cached = true;
-                            r.attempts = 0;
-                            // Re-verify the hash binding before touching the
-                            // cached artifact; a mismatched certificate is
-                            // withheld while the verdict still serves.
-                            if (opts_.certify &&
-                                cache::vetCachedCertificate(*entry,
-                                                            scan[i].certHash) ==
-                                    cache::CertReuse::Served) {
-                                checkSerializedCertificate(
-                                    r.certificate, entry->certificate,
-                                    Deadline::in(opts_.jobTimeoutSeconds));
-                            }
-                            servedFromCache = true;
-                        }
-                    } catch (const std::exception&) {
-                        // Cache-layer failure (real or injected): a miss,
-                        // never a failed job.
-                    }
-                }
-                if (servedFromCache) {
-                    // Nothing to solve.
+                api::CachePlan plan = api::planCache(opts_.resultCache.get(), strat, {},
+                                                     isDqcirPath(files[i]));
+                if (scan[i].parsed) plan.keyBy(scan[i].key, scan[i].certHash);
+                if (const std::optional<api::CacheHit> hit =
+                        opts_.cancel.cancelled() ? std::nullopt
+                                                 : api::lookupCache(plan, opts_.certify)) {
+                    const cache::CacheEntry& entry = hit->entry;
+                    r.result = entry.result;
+                    r.engine = entry.engine;
+                    r.rung = "cache";
+                    r.cached = true;
+                    r.attempts = 0;
+                    // A cached certificate that cannot be re-served is
+                    // withheld while the verdict still serves.
+                    if (hit->cert == cache::CertReuse::Served)
+                        checkSerializedCertificate(r.certificate, entry.certificate,
+                                                   Deadline::in(opts_.jobTimeoutSeconds));
                 } else if (opts_.cancel.cancelled()) {
                     r.result = SolveResult::Timeout;
                     r.failure = {FailureKind::Cancelled, "batch", "cancelled before start"};
@@ -849,20 +821,8 @@ std::vector<BatchJobResult> BatchScheduler::run(const std::vector<std::string>& 
                     r.degraded = rungIdx > 0;
                     if (opts_.cancel.cancelled() && !isConclusive(r.result) && !r.failure)
                         r.failure = {FailureKind::Cancelled, "batch", "batch cancelled"};
-                    if (cacheWrite && scan[i].parsed && !scan[i].dqcir &&
-                        isConclusive(r.result)) {
-                        try {
-                            cache::CacheEntry entry;
-                            entry.result = r.result;
-                            entry.engine = r.engine;
-                            entry.solveMilliseconds = t.elapsedMilliseconds();
-                            entry.certFormulaHash = scan[i].certHash;
-                            entry.certificate = out.certificateText;
-                            opts_.resultCache->store(scan[i].key, entry);
-                        } catch (const std::exception&) {
-                            // A cache write failure never taints the verdict.
-                        }
-                    }
+                    api::storeCache(plan, r.result, r.engine, t.elapsedMilliseconds(),
+                                    out.certificateText);
                 }
                 if (r.failure && r.error.empty()) r.error = r.failure.what;
                 r.wallMilliseconds = t.elapsedMilliseconds();

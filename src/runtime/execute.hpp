@@ -1,9 +1,9 @@
 // The one engine entry point (DESIGN.md §13).  dqbf_solve, the batch
 // scheduler's ladder rungs, the service's stateless solves and every
 // portfolio racer run their engine through execute(), which holds the only
-// switch over engine kinds.  Parsing, the guard, the result cache and reply
-// rendering stay in the front ends; session component solves keep their
-// own HqsSolver call.
+// switch over engine kinds.  Parsing, the guard and reply rendering stay in
+// the front ends, and the result cache has its own front door
+// (cache_plan.hpp); session component solves keep their own HqsSolver call.
 #pragma once
 
 #include <string>

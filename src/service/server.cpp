@@ -24,7 +24,6 @@
 #include <vector>
 
 #include "src/base/cancel.hpp"
-#include "src/cache/canonical.hpp"
 #include "src/cert/certificate.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/cnf/dimacs.hpp"
@@ -32,6 +31,7 @@
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
 #include "src/runtime/api.hpp"
+#include "src/runtime/cache_plan.hpp"
 #include "src/runtime/execute.hpp"
 #include "src/runtime/guard.hpp"
 #include "src/runtime/session.hpp"
@@ -804,9 +804,12 @@ struct SolverService::Impl {
         return 200;
     }
 
-    void admit(Conn& c, const std::string& rowId, bool keepAlive, std::string formula,
-               SolveRequestOptions ropts, EngineSpec spec,
-               const std::string& protocol = {})
+    /// Admission prologue of every solve and session op: fill the
+    /// deployment's default budgets into @p ropts, register the reply slot
+    /// on @p c, and count the admission.  Returns the request id.
+    std::uint64_t registerAdmission(Conn& c, const std::string& rowId, bool keepAlive,
+                                    SolveRequestOptions& ropts,
+                                    const std::string& protocol)
     {
         if (ropts.timeoutSeconds <= 0) ropts.timeoutSeconds = opts.defaultTimeoutSeconds;
         if (ropts.rssLimitBytes == 0) ropts.rssLimitBytes = opts.defaultRssLimitBytes;
@@ -817,6 +820,7 @@ struct SolverService::Impl {
         p.jsonl = c.jsonl;
         p.keepAlive = keepAlive;
         p.rowId = rowId;
+        p.sessionId = ropts.session; // "" for stateless solves
         p.protocol = protocol;
         c.outstanding.push_back(reqId);
 
@@ -825,8 +829,15 @@ struct SolverService::Impl {
         OBS_COUNT("service.solves.admitted", 1);
         OBS_GAUGE_MAX("service.pending.max",
                       counters.pendingSolves.load(std::memory_order_relaxed));
+        return reqId;
+    }
 
-        const CancelToken token = p.token;
+    void admit(Conn& c, const std::string& rowId, bool keepAlive, std::string formula,
+               SolveRequestOptions ropts, EngineSpec spec,
+               const std::string& protocol = {})
+    {
+        const std::uint64_t reqId = registerAdmission(c, rowId, keepAlive, ropts, protocol);
+        const CancelToken token = pending[reqId].token;
         pool->submit([this, reqId, token, formula = std::move(formula), ropts, spec] {
             runSolveJob(reqId, token, formula, ropts, spec);
         });
@@ -841,27 +852,8 @@ struct SolverService::Impl {
                         std::string formula, SolveRequestOptions ropts,
                         const std::string& protocol)
     {
-        if (ropts.timeoutSeconds <= 0) ropts.timeoutSeconds = opts.defaultTimeoutSeconds;
-        if (ropts.rssLimitBytes == 0) ropts.rssLimitBytes = opts.defaultRssLimitBytes;
-
-        const std::uint64_t reqId = nextReqId++;
-        Pending& p = pending[reqId];
-        p.connFd = c.fd;
-        p.jsonl = true;
-        p.keepAlive = true;
-        p.rowId = rowId;
-        p.sessionId = ropts.session;
-        p.protocol = protocol;
-        c.outstanding.push_back(reqId);
-
-        counters.solvesAdmitted.fetch_add(1, std::memory_order_relaxed);
-        counters.pendingSolves.fetch_add(1, std::memory_order_relaxed);
-        OBS_COUNT("service.solves.admitted", 1);
-        OBS_GAUGE_MAX("service.pending.max",
-                      counters.pendingSolves.load(std::memory_order_relaxed));
-
         SessionOp op;
-        op.reqId = reqId;
+        op.reqId = registerAdmission(c, rowId, /*keepAlive=*/true, ropts, protocol);
         op.ownerFd = c.fd;
         op.session = std::move(session);
         op.formula = std::move(formula);
@@ -905,102 +897,72 @@ struct SolverService::Impl {
 
     // ----------------------------------------------------- worker side --
 
+    /// Hand a finished reply to the loop thread.
+    void complete(Completion done)
+    {
+        {
+            std::lock_guard<std::mutex> lock(completionMu);
+            completions.push_back(std::move(done));
+        }
+        wake();
+    }
+
+    /// The result cache solves may use: none under the solveOverride test
+    /// hook, whose fabricated verdicts must never enter the cache.
+    cache::ResultCache* solveCache() const
+    {
+        return opts.solveOverride ? nullptr : opts.resultCache.get();
+    }
+
     void runSolveJob(std::uint64_t reqId, const CancelToken& token,
                      const std::string& formula, const SolveRequestOptions& ropts,
                      const EngineSpec& spec)
     {
         Timer t;
 
-        // Request shaping: resolve the strategy spec, then the effective
-        // cache mode (strategy policy, overridden by the request's
-        // cache-control).  The solveOverride test hook replaces the real
-        // solve, so its fabricated verdicts never enter the cache.
         const strategy::StrategySpec* strat = findStrategy(ropts.strategy);
-        cache::ResultCache* rcache =
-            opts.solveOverride ? nullptr : opts.resultCache.get();
-        using CacheMode = strategy::CachePolicy::Mode;
-        CacheMode cmode = strat ? strat->cache.mode : CacheMode::On;
-        if (ropts.cacheControl == "on") cmode = CacheMode::On;
-        else if (ropts.cacheControl == "off") cmode = CacheMode::Off;
-        else if (ropts.cacheControl == "bypass") cmode = CacheMode::Bypass;
-        // Circuit-form requests never touch the result cache: the cache key
-        // is defined over the canonical CNF, and the Tseitin numbering a
-        // lowering produces is an implementation detail not worth baking
-        // into persisted entries.  Typed counter so the bypass is visible.
         const bool dqcir = ropts.format == "dqcir" ||
                            (ropts.format.empty() && looksLikeDqcir(formula));
-        if (dqcir && rcache && cmode != CacheMode::Off)
-            OBS_COUNT("cache.bypass.format", 1);
-        const bool cacheRead = rcache && cmode == CacheMode::On && !dqcir;
-        const bool cacheWrite = rcache && cmode != CacheMode::Off && !dqcir;
-
-        cache::CanonicalKey ckey;
-        std::uint64_t chash = 0;
-        bool keyed = false;
-        if (cacheRead || cacheWrite) {
+        api::CachePlan plan = api::planCache(solveCache(), strat, ropts.cacheControl, dqcir);
+        // One parse keys the plan and, on a miss, feeds the solve.  An
+        // unparsable body leaves the plan unkeyed; the solve path below
+        // reports the ParseError with full context.
+        std::optional<ParsedQdimacs> parsed;
+        if (plan.active()) {
             try {
-                const ParsedQdimacs parsed = parseDqdimacsString(formula);
-                ckey = cache::canonicalKey(parsed);
-                chash = cert::formulaHash(parsed);
-                keyed = true;
+                parsed = parseDqdimacsString(formula);
+                plan.keyBy(*parsed);
             } catch (const std::exception&) {
-                // Unparsable body: the solve path below reports the
-                // ParseError with full context; no cache involvement.
             }
         }
-        if (cacheRead && keyed && !token.cancelled()) {
-            try {
-                if (std::optional<cache::CacheEntry> entry = rcache->lookup(ckey);
-                    entry && isConclusive(entry->result)) {
-                    counters.cacheHits.fetch_add(1, std::memory_order_relaxed);
-                    OBS_COUNT("service.cache.hit", 1);
-                    std::string body =
-                        "\"result\":\"" + std::string(toString(entry->result)) + "\"";
-                    body += ",\"wall_ms\":" + std::to_string(t.elapsedMilliseconds());
-                    if (!entry->engine.empty())
-                        body += ",\"engine\":\"" + jsonEscape(entry->engine) + "\"";
-                    body += ",\"cached\":true";
-                    int status = 200;
-                    if (ropts.certify && entry->result == SolveResult::Sat) {
-                        // Re-verify the certificate's formula-hash binding
-                        // before reuse; a mismatch withholds the artifact
-                        // (typed rejection) while the verdict still serves.
-                        switch (cache::vetCachedCertificate(*entry, chash)) {
-                            case cache::CertReuse::Served:
-                                counters.cacheCertServed.fetch_add(
-                                    1, std::memory_order_relaxed);
-                                status = appendCertificate(
-                                    body, entry->certificate,
-                                    Deadline::in(ropts.timeoutSeconds));
-                                break;
-                            case cache::CertReuse::None:
-                                body += ",\"certificate_error\":\"unavailable\"";
-                                break;
-                            case cache::CertReuse::HashMismatch:
-                                counters.cacheCertRejects.fetch_add(
-                                    1, std::memory_order_relaxed);
-                                body += ",\"certificate_error\":\"cached certificate "
-                                        "rejected: formula hash mismatch\"";
-                                break;
-                            case cache::CertReuse::MalformedArtifact:
-                                counters.cacheCertRejects.fetch_add(
-                                    1, std::memory_order_relaxed);
-                                body += ",\"certificate_error\":\"cached certificate "
-                                        "rejected: malformed artifact\"";
-                                break;
-                        }
-                    }
-                    {
-                        std::lock_guard<std::mutex> lock(completionMu);
-                        completions.push_back({reqId, std::move(body), status, {}});
-                    }
-                    wake();
-                    return;
-                }
-            } catch (const std::exception&) {
-                // A cache-layer failure (real or injected) is a miss, never
-                // a failed request.
+        if (const std::optional<api::CacheHit> hit =
+                token.cancelled() ? std::nullopt : api::lookupCache(plan, ropts.certify)) {
+            const cache::CacheEntry& entry = hit->entry;
+            counters.cacheHits.fetch_add(1, std::memory_order_relaxed);
+            OBS_COUNT("service.cache.hit", 1);
+            std::string body = "\"result\":\"" + std::string(toString(entry.result)) + "\"";
+            body += ",\"wall_ms\":" + std::to_string(t.elapsedMilliseconds());
+            if (!entry.engine.empty()) body += ",\"engine\":\"" + jsonEscape(entry.engine) + "\"";
+            body += ",\"cached\":true";
+            int status = 200;
+            // A cached certificate that cannot be re-served is withheld with
+            // a typed certificate_error; the verdict still serves.
+            if (const std::optional<cache::CertReuse> reuse = hit->cert;
+                reuse == cache::CertReuse::Served) {
+                counters.cacheCertServed.fetch_add(1, std::memory_order_relaxed);
+                status = appendCertificate(body, entry.certificate,
+                                           Deadline::in(ropts.timeoutSeconds));
+            } else if (reuse == cache::CertReuse::None) {
+                body += ",\"certificate_error\":\"unavailable\"";
+            } else if (reuse) {
+                counters.cacheCertRejects.fetch_add(1, std::memory_order_relaxed);
+                body += std::string(",\"certificate_error\":\"cached certificate rejected: ") +
+                        (reuse == cache::CertReuse::HashMismatch ? "formula hash mismatch"
+                                                                 : "malformed artifact") +
+                        "\"";
             }
+            complete({reqId, std::move(body), status, {}});
+            return;
         }
 
         api::SolveRequest request;
@@ -1026,9 +988,12 @@ struct SolverService::Impl {
         gopts.rssLimitBytes = ropts.rssLimitBytes;
         const GuardedOutcome outcome = runGuarded(gopts, [&](const Deadline& dl) {
             if (opts.solveOverride) return opts.solveOverride(formula, ropts, dl);
-            const DqbfFormula f = DqbfFormula::fromParsed(
-                dqcir ? lowerDqcir(parseDqcirString(formula))
-                      : parseDqdimacsString(formula));
+            if (!parsed) {
+                parsed = dqcir ? lowerDqcir(parseDqcirString(formula))
+                               : parseDqdimacsString(formula);
+            }
+            const DqbfFormula f = DqbfFormula::fromParsed(*parsed);
+            parsed.reset();
             run = api::execute(request, f, dl, {}, strat);
             return run.result;
         });
@@ -1055,26 +1020,10 @@ struct SolverService::Impl {
         int status = 200;
         if (ropts.certify && outcome.result == SolveResult::Sat)
             status = appendCertificate(body, run.certificate, gopts.deadline);
-        if (cacheWrite && keyed && isConclusive(outcome.result)) {
-            try {
-                cache::CacheEntry entry;
-                entry.result = outcome.result;
-                entry.engine = run.engine;
-                entry.solveMilliseconds = wallMs;
-                entry.certFormulaHash = chash;
-                entry.certificate = run.certificate;
-                rcache->store(ckey, entry);
-                counters.cacheStores.fetch_add(1, std::memory_order_relaxed);
-            } catch (const std::exception&) {
-                // A cache write failure never taints the verdict.
-            }
-        }
+        if (api::storeCache(plan, outcome.result, run.engine, wallMs, run.certificate))
+            counters.cacheStores.fetch_add(1, std::memory_order_relaxed);
         if (opts.scoreboard) opts.scoreboard->release(sbEntry);
-        {
-            std::lock_guard<std::mutex> lock(completionMu);
-            completions.push_back({reqId, std::move(body), status, {}});
-        }
-        wake();
+        complete({reqId, std::move(body), status, {}});
     }
 
     /// One v2 session op on the pool.  The per-session FIFO guarantees at
@@ -1104,11 +1053,7 @@ struct SolverService::Impl {
                     ",\"wall_ms\":" + std::to_string(t.elapsedMilliseconds());
                 done.openedSession = sid;
             }
-            {
-                std::lock_guard<std::mutex> lock(completionMu);
-                completions.push_back(std::move(done));
-            }
-            wake();
+            complete(std::move(done));
             return;
         }
         if (op.ropts.op == "close") {
@@ -1116,11 +1061,7 @@ struct SolverService::Impl {
             std::string body = "\"session\":\"" + jsonEscape(op.ropts.session) +
                                "\",\"closed\":" + (closed ? "true" : "false") +
                                ",\"wall_ms\":" + std::to_string(t.elapsedMilliseconds());
-            {
-                std::lock_guard<std::mutex> lock(completionMu);
-                completions.push_back({op.reqId, std::move(body), 200, {}});
-            }
-            wake();
+            complete({op.reqId, std::move(body), 200, {}});
             return;
         }
         runSessionSolve(std::move(op), token);
@@ -1192,32 +1133,25 @@ struct SolverService::Impl {
                 status = appendCertificate(body, outcome.certificate, gopts.deadline);
             // Session solves feed the shared content-addressed cache under
             // the canonical key of the *effective* formula — a later cold
-            // solve of the same text hits.  Assumption-carrying solves are
-            // request-local and skip it (Session counted cache.bypass.session).
-            if (!outcome.usedAssumptions && isConclusive(guarded.result) &&
-                opts.resultCache && !opts.solveOverride &&
-                op.ropts.cacheControl != "off") {
-                try {
-                    const ParsedQdimacs parsed =
-                        parseDqdimacsString(outcome.effectiveText);
-                    cache::CacheEntry entry;
-                    entry.result = guarded.result;
-                    entry.engine = "hqs";
-                    entry.solveMilliseconds = wallMs;
-                    entry.certFormulaHash = cert::formulaHash(parsed);
-                    entry.certificate = outcome.certificate;
-                    opts.resultCache->store(cache::canonicalKey(parsed), entry);
-                    counters.cacheStores.fetch_add(1, std::memory_order_relaxed);
-                } catch (const std::exception&) {
-                    // A cache write failure never taints the verdict.
+            // solve of the same text hits — and never read it.  Assumption-
+            // carrying solves are request-local and skip it (Session counted
+            // cache.bypass.session).
+            if (!outcome.usedAssumptions && isConclusive(guarded.result)) {
+                api::CachePlan plan =
+                    api::planCache(solveCache(), findStrategy(op.ropts.strategy),
+                                   op.ropts.cacheControl, op.session->circuitBased());
+                if (plan.write) {
+                    try {
+                        plan.keyBy(parseDqdimacsString(outcome.effectiveText));
+                    } catch (const std::exception&) {
+                        // Unkeyed: nothing is stored.
+                    }
                 }
+                if (api::storeCache(plan, guarded.result, "hqs", wallMs, outcome.certificate))
+                    counters.cacheStores.fetch_add(1, std::memory_order_relaxed);
             }
         }
-        {
-            std::lock_guard<std::mutex> lock(completionMu);
-            completions.push_back({op.reqId, std::move(body), status, {}});
-        }
-        wake();
+        complete({op.reqId, std::move(body), status, {}});
     }
 
     /// Attach the certificate of a certify+Sat solve to @p body: the

@@ -5,6 +5,10 @@
 #      certificate that dqbf_check accepts, and upgrades the cache entry.
 #   3. A second --certify run serves the byte-identical artifact from the
 #      cache, and dqbf_check still accepts it.
+#   4. --cache-control=off neither hits nor stores; --cache-control=bypass
+#      skips the hit but stores.
+#   5. Circuit (DQCIR) input under --cache-dir prints the bypass line and
+#      writes no entry.
 #
 # Invoked as: cmake -DDQBF_SOLVE=... -DDQBF_CHECK=... -DDATA_DIR=...
 #             -DWORK_DIR=... -P cache_cli_roundtrip.cmake
@@ -65,4 +69,44 @@ if(NOT rc EQUAL 0)
                       "(exit ${rc}): ${out}")
 endif()
 
-message(STATUS "cache/cli-roundtrip: verdict-only entry -> certify fallthrough -> cached artifact reuse ok")
+# The per-run cache control overrides the (default "on") mode.
+execute_process(COMMAND "${DQBF_SOLVE}" "--cache-dir=${cachedir}"
+                "--cache-control=off" "${instance}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc EQUAL 10)
+  message(FATAL_ERROR "--cache-control=off run exited ${rc}: ${out}")
+endif()
+if(out MATCHES "c cache [^\n]*hit" OR out MATCHES "stored")
+  message(FATAL_ERROR "--cache-control=off touched the cache: ${out}")
+endif()
+
+execute_process(COMMAND "${DQBF_SOLVE}" "--cache-dir=${cachedir}"
+                "--cache-control=bypass" "${instance}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc EQUAL 10)
+  message(FATAL_ERROR "--cache-control=bypass run exited ${rc}: ${out}")
+endif()
+if(out MATCHES "c cache [^\n]*hit")
+  message(FATAL_ERROR "--cache-control=bypass served a cached verdict: ${out}")
+endif()
+if(NOT out MATCHES "c cache +: stored")
+  message(FATAL_ERROR "--cache-control=bypass did not refresh the entry: ${out}")
+endif()
+
+# Circuit input never touches the cache.
+set(circuitcache "${WORK_DIR}/circuit-cache")
+execute_process(COMMAND "${DQBF_SOLVE}" "--cache-dir=${circuitcache}"
+                "${DATA_DIR}/dqcir/example2_sat.dqcir"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc EQUAL 10)
+  message(FATAL_ERROR "circuit run exited ${rc} (want 10/SAT): ${out}")
+endif()
+if(NOT out MATCHES "c cache +: bypassed \\(circuit input\\)")
+  message(FATAL_ERROR "circuit run did not report the cache bypass: ${out}")
+endif()
+file(GLOB circuitentries "${circuitcache}/*")
+if(circuitentries)
+  message(FATAL_ERROR "circuit run wrote cache entries: ${circuitentries}")
+endif()
+
+message(STATUS "cache/cli-roundtrip: verdict-only entry -> certify fallthrough -> cached artifact reuse, cache-control off/bypass, circuit bypass ok")

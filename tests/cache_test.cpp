@@ -3,7 +3,9 @@
 // key; semantically distinct formulas must not), the LRU/TTL/byte-budget
 // eviction discipline under an injected clock, typed rejection of damaged
 // persistent entries, certificate hash-binding re-verification, field-tagged
-// strategy-spec validation, batch dedup/cache behavior, and a service
+// strategy-spec validation, the cache front door's mode table, hit rule and
+// degrade-to-miss (api::planCache/lookupCache/storeCache), batch
+// dedup/cache behavior, and a service
 // loopback proving a repeated instance is answered from the cache with its
 // certificate intact.  The EnvFaultCache suite at the bottom runs only under
 // the faults/* ctest partition (HQS_FAULT=cache-load:1 / cache-store:1) and
@@ -20,6 +22,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -29,7 +32,9 @@
 #include "src/cache/result_cache.hpp"
 #include "src/cert/certificate.hpp"
 #include "src/cnf/dimacs.hpp"
+#include "src/obs/obs.hpp"
 #include "src/runtime/batch.hpp"
+#include "src/runtime/cache_plan.hpp"
 #include "src/runtime/portfolio.hpp"
 #include "src/service/client.hpp"
 #include "src/service/http.hpp"
@@ -644,6 +649,171 @@ TEST(StrategySpec, OmittedSectionsInheritDefaults)
     EXPECT_EQ(spec.ladder.size(), dflt.ladder.size());
     EXPECT_EQ(spec.cache.mode, dflt.cache.mode);
     EXPECT_EQ(spec.cache.maxBytes, dflt.cache.maxBytes);
+}
+
+// --- the cache front door (api::planCache / lookupCache / storeCache) -------
+
+namespace {
+
+std::size_t bypassFormatCount(obs::MetricScope& scope)
+{
+    return static_cast<std::size_t>(
+        scope.value(obs::metric("cache.bypass.format", obs::MetricKind::Counter)));
+}
+
+} // namespace
+
+TEST(CachePlan, ModeTableOverStrategyCacheControlAndFormat)
+{
+    using Mode = strategy::CachePolicy::Mode;
+    struct Row {
+        std::optional<Mode> strategyMode; ///< nullopt = no strategy spec
+        const char* cacheControl;
+        bool read;
+        bool write;
+    };
+    const Row rows[] = {
+        {std::nullopt, "", true, true},      {std::nullopt, "on", true, true},
+        {std::nullopt, "off", false, false}, {std::nullopt, "bypass", false, true},
+        {Mode::On, "", true, true},          {Mode::On, "on", true, true},
+        {Mode::On, "off", false, false},     {Mode::On, "bypass", false, true},
+        {Mode::Off, "", false, false},       {Mode::Off, "on", true, true},
+        {Mode::Off, "off", false, false},    {Mode::Off, "bypass", false, true},
+        {Mode::Bypass, "", false, true},     {Mode::Bypass, "on", true, true},
+        {Mode::Bypass, "off", false, false}, {Mode::Bypass, "bypass", false, true},
+    };
+    cache::ResultCache rc;
+    for (const Row& row : rows) {
+        strategy::StrategySpec spec = strategy::defaultStrategySpec();
+        if (row.strategyMode) spec.cache.mode = *row.strategyMode;
+        const strategy::StrategySpec* strat = row.strategyMode ? &spec : nullptr;
+        const std::string label =
+            std::string(row.strategyMode ? strategy::toString(*row.strategyMode) : "none") +
+            " / \"" + row.cacheControl + "\"";
+
+        for (const bool circuit : {false, true}) {
+            obs::MetricScope scope;
+            const api::CachePlan plan = api::planCache(&rc, strat, row.cacheControl, circuit);
+            // Circuit input is never cached; it counts one bypass whenever
+            // the mode would otherwise have touched the cache.
+            EXPECT_EQ(plan.read, row.read && !circuit) << label << " circuit=" << circuit;
+            EXPECT_EQ(plan.write, row.write && !circuit) << label << " circuit=" << circuit;
+            EXPECT_EQ(plan.cache, plan.active() ? &rc : nullptr) << label;
+            EXPECT_EQ(plan.circuitBypassed, circuit && row.write) << label;
+            EXPECT_EQ(bypassFormatCount(scope), circuit && row.write ? 1u : 0u) << label;
+            EXPECT_FALSE(plan.keyed) << label;
+        }
+
+        // Without a cache nothing is read, written or counted.
+        obs::MetricScope scope;
+        const api::CachePlan none = api::planCache(nullptr, strat, row.cacheControl, true);
+        EXPECT_FALSE(none.active()) << label;
+        EXPECT_FALSE(none.circuitBypassed) << label;
+        EXPECT_EQ(bypassFormatCount(scope), 0u) << label;
+    }
+}
+
+TEST(CachePlan, KeysOnceFromTheParsedFormula)
+{
+    cache::ResultCache rc;
+    const ParsedQdimacs parsed = parseDqdimacsString(kBaseFormula);
+
+    api::CachePlan plan = api::planCache(&rc, nullptr, "", false);
+    plan.keyBy(parsed);
+    EXPECT_TRUE(plan.keyed);
+    EXPECT_EQ(plan.key, cache::canonicalKey(parsed));
+    EXPECT_EQ(plan.formulaHash, cert::formulaHash(parsed));
+
+    // A plan that neither reads nor writes never pays for a key.
+    api::CachePlan off = api::planCache(&rc, nullptr, "off", false);
+    off.keyBy(parsed);
+    EXPECT_FALSE(off.keyed);
+}
+
+TEST(CachePlan, LookupHitsOnlyConclusiveEntriesAndVetsSatCertificates)
+{
+    cache::ResultCache rc;
+    api::CachePlan plan = api::planCache(&rc, nullptr, "", false);
+
+    // Unkeyed (an unparsable request): no lookup at all.
+    EXPECT_FALSE(api::lookupCache(plan, false));
+    EXPECT_EQ(rc.stats().misses, 0u);
+
+    plan.keyBy(parseDqdimacsString(kBaseFormula));
+    cache::CacheEntry timeout;
+    timeout.result = SolveResult::Timeout;
+    rc.store(plan.key, timeout);
+    EXPECT_FALSE(api::lookupCache(plan, false)) << "a non-conclusive entry is a miss";
+    EXPECT_FALSE(api::storeCache(plan, SolveResult::Unknown, "hqs", 1, ""));
+
+    std::string error;
+    EXPECT_TRUE(
+        api::storeCache(plan, SolveResult::Sat, "hqs", 2.5, fakeArtifact(plan.formulaHash), &error));
+    EXPECT_TRUE(error.empty()) << error;
+
+    const std::optional<api::CacheHit> bare = api::lookupCache(plan, false);
+    ASSERT_TRUE(bare);
+    EXPECT_EQ(bare->entry.result, SolveResult::Sat);
+    EXPECT_EQ(bare->entry.engine, "hqs");
+    EXPECT_EQ(bare->entry.certFormulaHash, plan.formulaHash);
+    EXPECT_FALSE(bare->cert) << "no certificate asked for, none vetted";
+
+    const std::optional<api::CacheHit> certified = api::lookupCache(plan, true);
+    ASSERT_TRUE(certified);
+    EXPECT_EQ(certified->cert, cache::CertReuse::Served);
+
+    // A renumbered presentation shares the canonical key (the verdict
+    // serves) but not the formula hash (the certificate is withheld).
+    api::CachePlan renumbered = api::planCache(&rc, nullptr, "", false);
+    renumbered.keyBy(parseDqdimacsString(kRenumbered));
+    ASSERT_EQ(renumbered.key, plan.key);
+    ASSERT_NE(renumbered.formulaHash, plan.formulaHash);
+    const std::optional<api::CacheHit> crossed = api::lookupCache(renumbered, true);
+    ASSERT_TRUE(crossed);
+    EXPECT_EQ(crossed->cert, cache::CertReuse::HashMismatch);
+
+    // An Unsat verdict has no certificate to vet.
+    api::CachePlan unsat = api::planCache(&rc, nullptr, "", false);
+    unsat.keyBy(parseDqdimacsString(kUnsatFormula));
+    ASSERT_TRUE(api::storeCache(unsat, SolveResult::Unsat, "hqs", 1, ""));
+    const std::optional<api::CacheHit> unsatHit = api::lookupCache(unsat, true);
+    ASSERT_TRUE(unsatHit);
+    EXPECT_FALSE(unsatHit->cert);
+
+    // Bypass writes but never reads.
+    api::CachePlan bypass = api::planCache(&rc, nullptr, "bypass", false);
+    bypass.keyBy(parseDqdimacsString(kBaseFormula));
+    EXPECT_FALSE(api::lookupCache(bypass, false));
+    EXPECT_TRUE(api::storeCache(bypass, SolveResult::Sat, "cegar", 1, ""));
+}
+
+TEST(CachePlan, CacheLayerFaultsDegradeToAMissAndAReportedStoreFailure)
+{
+    TempDir cacheDir;
+    cache::CacheConfig cfg;
+    cfg.dir = cacheDir.str();
+    cache::ResultCache rc(cfg);
+    api::CachePlan plan = api::planCache(&rc, nullptr, "", false);
+    plan.keyBy(parseDqdimacsString(kBaseFormula));
+
+    {
+        fault::ScopedFault armed("cache-load");
+        std::string error;
+        EXPECT_FALSE(api::lookupCache(plan, false, &error));
+        EXPECT_NE(error.find("cache-load"), std::string::npos) << error;
+    }
+    {
+        fault::ScopedFault armed("cache-store");
+        std::string error;
+        bool stored = true;
+        EXPECT_NO_THROW(stored = api::storeCache(plan, SolveResult::Sat, "hqs", 1, "", &error));
+        EXPECT_FALSE(stored);
+        EXPECT_NE(error.find("cache-store"), std::string::npos) << error;
+        EXPECT_EQ(rc.stats().stores, 0u);
+    }
+    // Disarmed, the same plan stores and hits.
+    EXPECT_TRUE(api::storeCache(plan, SolveResult::Sat, "hqs", 1, ""));
+    EXPECT_TRUE(api::lookupCache(plan, false));
 }
 
 // --- batch dedup and cache --------------------------------------------------

@@ -1356,6 +1356,53 @@ TEST(ServiceSession, DisconnectClosesOwnedSessions)
 
 // --- bench report schema ----------------------------------------------------
 
+// Session solves write the shared result cache under the effective cache
+// mode (the strategy's, unless the request overrides it) and never read it.
+// A deployment whose "default" strategy turns the cache off gets no session
+// verdicts in it.
+TEST(ServiceSession, SessionSolvesStoreOnlyWhenTheCacheModeAllows)
+{
+    // Solve the session's base, then the same formula as a cold solve; its
+    // reply lands in @p cold ("" when the session step failed).
+    const auto solveBaseThenCold = [](BlockingClient& client, std::string* cold) {
+        const std::string sid = openSession(client, kSatFormula);
+        ASSERT_FALSE(sid.empty());
+        SolveRequestOptions solve;
+        solve.op = "solve";
+        solve.session = sid;
+        std::string reply = roundTrip(client, buildJsonlSolveRequest("s-1", "", solve));
+        std::string verdict;
+        ASSERT_TRUE(jsonStringField(reply, "result", verdict)) << reply;
+        EXPECT_EQ(verdict, "SAT");
+        *cold = roundTrip(client, buildJsonlSolveRequest("cold", kSatFormula, {}));
+    };
+
+    ServiceOptions on;
+    on.resultCache = std::make_shared<cache::ResultCache>();
+    withJsonlService(
+        [&](SolverService&, BlockingClient& client) {
+            std::string cold;
+            solveBaseThenCold(client, &cold);
+            EXPECT_NE(cold.find("\"cached\":true"), std::string::npos) << cold;
+            EXPECT_EQ(on.resultCache->stats().stores, 1u);
+        },
+        on);
+
+    ServiceOptions off;
+    off.resultCache = std::make_shared<cache::ResultCache>();
+    strategy::StrategySpec spec = strategy::defaultStrategySpec();
+    spec.cache.mode = strategy::CachePolicy::Mode::Off;
+    off.strategies["default"] = spec;
+    withJsonlService(
+        [&](SolverService&, BlockingClient& client) {
+            std::string cold;
+            solveBaseThenCold(client, &cold);
+            EXPECT_EQ(cold.find("\"cached\":true"), std::string::npos) << cold;
+            EXPECT_EQ(off.resultCache->stats().stores, 0u);
+        },
+        off);
+}
+
 TEST(ServiceReport, BenchServiceMatchesGoldenSchema)
 {
     // v2 is a multi-run report: one "runs" entry per fleet size.  The
