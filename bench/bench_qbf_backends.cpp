@@ -1,8 +1,7 @@
 // QBF backend comparison: the paper plugs an AIG-elimination solver
-// (AIGSOLVE) into HQS but names search-based solvers (DepQBF) as the other
-// family, and motivates AIGs over BDDs.  This bench races the repository's
-// four QBF engines — AIG elimination, BDD elimination, clausal QDPLL
-// search, and AIG cofactor search — on two workloads:
+// (AIGSOLVE) into HQS and motivates AIGs over BDDs.  This bench races the
+// repository's two QBF engines — AIG elimination and BDD elimination — on
+// two workloads:
 //
 //   * random k-CNF QBFs with alternating prefixes (phase-transition mix);
 //   * 2-QBF equivalence-checking instances (forall inputs, exists Tseitin
@@ -16,8 +15,6 @@
 #include "src/circuit/tseitin.hpp"
 #include "src/qbf/aig_qbf_solver.hpp"
 #include "src/qbf/bdd_qbf_solver.hpp"
-#include "src/qbf/qdpll_solver.hpp"
-#include "src/qbf/search_qbf_solver.hpp"
 
 using namespace hqs;
 using namespace hqs::bench;
@@ -31,7 +28,7 @@ struct EngineResult {
 
 struct Row {
     std::string name;
-    EngineResult aigElim, bddElim, qdpll, aigSearch;
+    EngineResult aigElim, bddElim;
     bool agree = true;
 };
 
@@ -60,25 +57,8 @@ Row runAll(const std::string& name, const QbfProblem& q, double timeoutSeconds)
         BddQbfSolver s(opts);
         return s.solve(q.matrix, q.prefix);
     });
-    row.qdpll = timeIt([&] {
-        QdpllSolver s(Deadline::in(timeoutSeconds));
-        return s.solve(q.matrix, q.prefix);
-    });
-    row.aigSearch = timeIt([&] {
-        Aig aig;
-        const AigEdge matrix = buildFromCnf(aig, q.matrix);
-        return searchQbfSolve(aig, matrix, q.prefix, Deadline::in(timeoutSeconds));
-    });
-
-    SolveResult reference = SolveResult::Unknown;
-    for (const EngineResult* e : {&row.aigElim, &row.bddElim, &row.qdpll, &row.aigSearch}) {
-        if (!isConclusive(e->result)) continue;
-        if (reference == SolveResult::Unknown) {
-            reference = e->result;
-        } else if (e->result != reference) {
-            row.agree = false;
-        }
-    }
+    row.agree = !isConclusive(row.aigElim.result) || !isConclusive(row.bddElim.result) ||
+                row.aigElim.result == row.bddElim.result;
     return row;
 }
 
@@ -150,9 +130,8 @@ void printRow(const Row& row)
         std::snprintf(buf, sizeof(buf), "%-7s %9.2f", toString(e.result).c_str(), e.ms);
         return std::string(buf);
     };
-    std::printf("%-24s | %s | %s | %s | %s | %s\n", row.name.c_str(),
-                cell(row.aigElim).c_str(), cell(row.bddElim).c_str(), cell(row.qdpll).c_str(),
-                cell(row.aigSearch).c_str(), row.agree ? "ok" : "DISAGREE");
+    std::printf("%-24s | %s | %s | %s\n", row.name.c_str(), cell(row.aigElim).c_str(),
+                cell(row.bddElim).c_str(), row.agree ? "ok" : "DISAGREE");
     std::fflush(stdout);
 }
 
@@ -162,11 +141,9 @@ int main()
 {
     const SuiteParams params = suiteParamsFromEnv();
     std::printf("QBF backend comparison — per-engine timeout %.1f s\n\n", params.timeoutSeconds);
-    std::printf("%-24s | %-17s | %-17s | %-17s | %-17s |\n", "instance", "AIG-elim [26]",
-                "BDD-elim [23]", "QDPLL [25]", "AIG-search");
-    std::printf("%.*s\n", 110,
-                "--------------------------------------------------------------------------"
-                "----------------------------------------");
+    std::printf("%-24s | %-17s | %-17s |\n", "instance", "AIG-elim [26]", "BDD-elim [23]");
+    std::printf("%.*s\n", 70,
+                "----------------------------------------------------------------------");
 
     int disagreements = 0;
     Rng rng(12345);

@@ -71,6 +71,7 @@
 
 #include "src/cache/result_cache.hpp"
 #include "src/runtime/api.hpp"
+#include "src/runtime/cache_plan.hpp"
 #include "src/runtime/batch.hpp"
 #include "src/strategy/spec.hpp"
 
@@ -159,15 +160,9 @@ int main(int argc, char** argv)
         }
         opts.strategy = spec;
     }
-    if (!cacheDir.empty()) {
-        cache::CacheConfig cfg;
-        cfg.dir = cacheDir;
-        if (opts.strategy) {
-            cfg.maxBytes = opts.strategy->cache.maxBytes;
-            cfg.ttlSeconds = opts.strategy->cache.ttlSeconds;
-        }
-        opts.resultCache = std::make_shared<cache::ResultCache>(cfg);
-    }
+    if (!cacheDir.empty())
+        opts.resultCache = std::make_shared<cache::ResultCache>(
+            api::cacheConfig(cacheDir, opts.strategy ? &*opts.strategy : nullptr));
 
     // The journal of the interrupted run: its conclusive verdicts stand,
     // everything else (crashed, cancelled, timed out, never started) is

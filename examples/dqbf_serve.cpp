@@ -67,6 +67,7 @@
 
 #include "src/cache/result_cache.hpp"
 #include "src/runtime/api.hpp"
+#include "src/runtime/cache_plan.hpp"
 #include "src/service/client.hpp"
 #include "src/service/server.hpp"
 #include "src/service/supervisor.hpp"
@@ -238,12 +239,7 @@ int main(int argc, char** argv)
         opts.strategies[spec.name] = spec;
     }
     if (cacheOn) {
-        cache::CacheConfig cfg;
-        cfg.dir = cacheDir;
-        if (haveSpec) {
-            cfg.maxBytes = spec.cache.maxBytes;
-            cfg.ttlSeconds = spec.cache.ttlSeconds;
-        }
+        cache::CacheConfig cfg = api::cacheConfig(cacheDir, haveSpec ? &spec : nullptr);
         if (cacheBytes > 0) cfg.maxBytes = cacheBytes;
         if (cacheTtl >= 0) cfg.ttlSeconds = cacheTtl;
         opts.resultCache = std::make_shared<cache::ResultCache>(cfg);

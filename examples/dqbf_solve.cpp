@@ -187,15 +187,9 @@ int main(int argc, char** argv)
         strategySpec = std::move(loaded);
     }
     std::shared_ptr<cache::ResultCache> rcache;
-    if (!cacheDir.empty()) {
-        cache::CacheConfig cfg;
-        cfg.dir = cacheDir;
-        if (strategySpec) {
-            cfg.maxBytes = strategySpec->cache.maxBytes;
-            cfg.ttlSeconds = strategySpec->cache.ttlSeconds;
-        }
-        rcache = std::make_shared<cache::ResultCache>(cfg);
-    }
+    if (!cacheDir.empty())
+        rcache = std::make_shared<cache::ResultCache>(
+            api::cacheConfig(cacheDir, strategySpec ? &*strategySpec : nullptr));
 
     DqbfFormula formula;
     api::CachePlan cachePlan;
@@ -212,8 +206,7 @@ int main(int argc, char** argv)
             ss << in.rdbuf();
             text = ss.str();
         }
-        const bool dqcir = request.format == "dqcir" ||
-                           (request.format.empty() && looksLikeDqcir(text));
+        const bool dqcir = isCircuitInput(request.format, text);
         cachePlan = api::planCache(rcache.get(), strategySpec ? &*strategySpec : nullptr,
                                    request.cacheControl, dqcir);
         if (cachePlan.circuitBypassed)

@@ -14,6 +14,13 @@
 namespace hqs {
 namespace {
 
+/// Conflict budget per SAT equivalence query.  An abandoned query leaves
+/// the node unmerged (sound, just less reduction).  A count, not wall time,
+/// so the sweep merges the same nodes however loaded the host is.  Completed
+/// queries take at most 2 conflicts on pec_sweep, 14 on Table I widths 6-8
+/// and 327 on the XOR-tree rescue of the kernel's FRAIG registry test.
+constexpr std::uint64_t kQueryConflictLimit = 1000;
+
 /// Deterministic simulation pattern for (variable, word index).
 std::uint64_t inputPattern(Var v, unsigned word, std::uint64_t seed)
 {
@@ -159,9 +166,8 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
             ++st.candidates;
             const Lit a = bridge.litFor(norm.edge);
             const Lit b = bridge.litFor(rep.edge);
-            const Deadline dl = Deadline::in(opts.satBudgetSeconds);
-            const SolveResult r1 = sat.solve({a, ~b}, dl);
-            if (r1 == SolveResult::Timeout) {
+            const SolveResult r1 = sat.solve({a, ~b}, opts.deadline, kQueryConflictLimit);
+            if (!isConclusive(r1)) {
                 ++st.timedOut;
                 continue;
             }
@@ -169,8 +175,8 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
                 ++st.refuted;
                 continue;
             }
-            const SolveResult r2 = sat.solve({~a, b}, dl);
-            if (r2 == SolveResult::Timeout) {
+            const SolveResult r2 = sat.solve({~a, b}, opts.deadline, kQueryConflictLimit);
+            if (!isConclusive(r2)) {
                 ++st.timedOut;
                 continue;
             }

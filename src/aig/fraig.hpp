@@ -19,9 +19,6 @@ struct FraigOptions {
     /// 64-bit simulation words per node (more words = fewer spurious
     /// candidates, more memory).
     unsigned simWords = 4;
-    /// Wall-clock budget per SAT equivalence query; timed-out queries leave
-    /// the node unmerged (sound, just less reduction).
-    double satBudgetSeconds = 0.01;
     /// Cap on SAT equivalence queries per sweep (0 = unlimited).  Keeps a
     /// sweep over a merge-rich cone from dominating the solve time.
     std::size_t maxQueries = 1000;
@@ -38,7 +35,7 @@ struct FraigStats {
     std::size_t candidates = 0;  ///< SAT equivalence queries issued
     std::size_t merged = 0;      ///< nodes merged into a representative
     std::size_t refuted = 0;     ///< candidate pairs refuted by SAT
-    std::size_t timedOut = 0;    ///< queries abandoned on budget
+    std::size_t timedOut = 0;    ///< queries abandoned on budget or deadline
 };
 
 /// Functionally reduce the cone of @p root; returns the (logically

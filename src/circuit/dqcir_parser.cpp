@@ -352,6 +352,11 @@ bool looksLikeDqcir(const std::string& text)
     return pos < text.size() && text[pos] == '#';
 }
 
+bool isCircuitInput(const std::string& format, const std::string& text)
+{
+    return format == "dqcir" || (format.empty() && looksLikeDqcir(text));
+}
+
 ParsedQdimacs lowerDqcir(const ParsedDqcir& parsed)
 {
     ParsedQdimacs out;

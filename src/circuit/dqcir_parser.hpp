@@ -67,6 +67,11 @@ ParsedDqcir parseDqcirString(const std::string& text);
 /// Cheap and read-only; the parser still validates properly.
 bool looksLikeDqcir(const std::string& text);
 
+/// True when a request with declared @p format ("dqcir", "dqdimacs", or ""
+/// to sniff) carries circuit input: "dqcir" always, "" when @p text looks
+/// like DQCIR.
+bool isCircuitInput(const std::string& format, const std::string& text);
+
 /// Lower a parsed circuit into CNF form: quantified inputs become the
 /// leading CNF variables (declaration order), the gate cone is
 /// Tseitin-encoded on top, Tseitin variables join a trailing `e` block

@@ -20,6 +20,17 @@ void CachePlan::keyBy(const cache::CanonicalKey& k, std::uint64_t hash)
     keyed = true;
 }
 
+cache::CacheConfig cacheConfig(const std::string& dir, const strategy::StrategySpec* spec)
+{
+    cache::CacheConfig cfg;
+    cfg.dir = dir;
+    if (spec) {
+        cfg.maxBytes = spec->cache.maxBytes;
+        cfg.ttlSeconds = spec->cache.ttlSeconds;
+    }
+    return cfg;
+}
+
 CachePlan planCache(cache::ResultCache* cache, const strategy::StrategySpec* spec,
                     const std::string& cacheControl, bool circuit)
 {

@@ -39,6 +39,11 @@ struct CachePlan {
     void keyBy(const cache::CanonicalKey& k, std::uint64_t hash);
 };
 
+/// The result-cache configuration of a front end: persisted under @p dir
+/// ("" = in memory only), with @p spec's byte budget and entry lifetime
+/// when a strategy is loaded and the cache defaults otherwise.
+cache::CacheConfig cacheConfig(const std::string& dir, const strategy::StrategySpec* spec);
+
 /// The effective mode is @p spec's (On without one), overridden by
 /// @p cacheControl when it names a mode ("on" | "off" | "bypass").  On
 /// reads and writes, Bypass only writes, Off does neither, and nothing

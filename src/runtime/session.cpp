@@ -126,9 +126,7 @@ struct Session::Component {
 Session::Session(std::string id, const std::string& text, const std::string& format)
     : id_(std::move(id))
 {
-    const bool circuit =
-        format == "dqcir" || (format.empty() && looksLikeDqcir(text));
-    if (circuit) {
+    if (isCircuitInput(format, text)) {
         base_ = lowerDqcir(parseDqcirString(text));
         circuitLines_ = splitLines(text);
     } else {
@@ -328,8 +326,8 @@ SessionSolveOutcome Session::solve(const SessionSolveOptions& opts,
     out.usedAssumptions = !assumptions.empty();
     if (out.usedAssumptions) OBS_COUNT("cache.bypass.session", 1);
 
-    const ParsedQdimacs effective = effectiveParsed(assumptions);
-    out.effectiveText = toDqdimacsString(effective);
+    out.effective = effectiveParsed(assumptions);
+    const ParsedQdimacs& effective = out.effective;
     if (effective.matrix.hasEmptyClause()) {
         out.result = SolveResult::Unsat;
         return out;

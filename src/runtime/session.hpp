@@ -111,10 +111,10 @@ struct SessionSolveOutcome {
     /// Serialized certificate of a certify+Sat solve ("" otherwise, or when
     /// a component's Skolem trace was unavailable).
     std::string certificate;
-    /// The effective formula this solve decided, as DQDIMACS text
-    /// (assumptions included as unit clauses).  A cold solve of this text
-    /// must agree with @ref result — the differential suite's contract.
-    std::string effectiveText;
+    /// The effective formula this solve decided (assumptions included as
+    /// unit clauses).  A cold solve of it must agree with @ref result — the
+    /// differential suite's contract.
+    ParsedQdimacs effective;
     std::size_t components = 0;        ///< components of the effective formula
     std::size_t reusedComponents = 0;  ///< answered from the component cache
     std::int64_t coneNodesSaved = 0;   ///< peak-AIG-node work skipped via reuse

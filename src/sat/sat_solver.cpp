@@ -154,6 +154,8 @@ struct SatSolver::Impl {
     SatStats stats;
 
     double maxLearnts = 1000.0;
+    /// stats.conflicts value at which the current solve() gives up.
+    std::uint64_t conflictStop = UINT64_MAX;
 
     // ----- basic accessors ---------------------------------------------
     lbool value(Lit l) const { return assigns[l.var()] ^ l.negative(); }
@@ -485,6 +487,7 @@ struct SatSolver::Impl {
                 claDecay();
                 if ((stats.conflicts & 0xff) == 0 && deadline.expired())
                     return deadlineExceededResult(deadline);
+                if (stats.conflicts >= conflictStop) return SolveResult::Unknown;
             } else {
                 if (conflictsHere >= conflictBudget) {
                     cancelUntil(0);
@@ -518,18 +521,21 @@ struct SatSolver::Impl {
         }
     }
 
-    SolveResult solve(const std::vector<Lit>& assumptions, const Deadline& deadline)
+    SolveResult solve(const std::vector<Lit>& assumptions, const Deadline& deadline,
+                      std::uint64_t conflictLimit)
     {
         fault::checkpoint("sat");
         if (topConflict) return SolveResult::Unsat;
         for (Lit a : assumptions) ensureVars(a.var() + 1);
         model.clear();
         maxLearnts = std::max<double>(1000.0, static_cast<double>(clauses.size()) / 3.0);
+        conflictStop = conflictLimit == 0 ? UINT64_MAX : stats.conflicts + conflictLimit;
 
         SolveResult res = SolveResult::Unknown;
         for (std::uint64_t restart = 0; res == SolveResult::Unknown; ++restart) {
             const auto budget = static_cast<std::uint64_t>(luby(2.0, restart) * 100.0);
             res = search(budget, assumptions, deadline);
+            if (res == SolveResult::Unknown && stats.conflicts >= conflictStop) break;
             if (res == SolveResult::Unknown) ++stats.restarts;
             if (deadline.expired() && res == SolveResult::Unknown) res = deadlineExceededResult(deadline);
         }
@@ -559,10 +565,11 @@ bool SatSolver::addCnf(const Cnf& f)
     return ok;
 }
 
-SolveResult SatSolver::solve(const std::vector<Lit>& assumptions, Deadline deadline)
+SolveResult SatSolver::solve(const std::vector<Lit>& assumptions, Deadline deadline,
+                             std::uint64_t conflictLimit)
 {
     OBS_COUNT("sat.solves", 1);
-    return impl_->solve(assumptions, deadline);
+    return impl_->solve(assumptions, deadline, conflictLimit);
 }
 
 lbool SatSolver::modelValue(Var v) const

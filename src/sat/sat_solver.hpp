@@ -6,8 +6,8 @@
 // reduction, and incremental solving under assumptions.
 //
 // This is the workhorse beneath the partial MaxSAT solver (variable-selection
-// MaxSAT of HQS), FRAIG SAT-sweeping, the QDPLL cross-check solver, and the
-// instantiation-based DQBF baseline.
+// MaxSAT of HQS), FRAIG SAT-sweeping, and the instantiation-based DQBF
+// baseline.
 #pragma once
 
 #include <cstdint>
@@ -52,9 +52,11 @@ public:
     bool addCnf(const Cnf& f);
 
     /// Decide satisfiability under the given assumptions.
-    /// Returns Sat, Unsat, or Timeout (when @p deadline expires).
+    /// Returns Sat, Unsat, Timeout (when @p deadline expires), or Unknown
+    /// once this call has met @p conflictLimit conflicts (0 = no limit).
     SolveResult solve(const std::vector<Lit>& assumptions = {},
-                      Deadline deadline = Deadline::unlimited());
+                      Deadline deadline = Deadline::unlimited(),
+                      std::uint64_t conflictLimit = 0);
 
     /// Model access; valid after solve() returned Sat.
     lbool modelValue(Var v) const;

@@ -921,8 +921,7 @@ struct SolverService::Impl {
         Timer t;
 
         const strategy::StrategySpec* strat = findStrategy(ropts.strategy);
-        const bool dqcir = ropts.format == "dqcir" ||
-                           (ropts.format.empty() && looksLikeDqcir(formula));
+        const bool dqcir = isCircuitInput(ropts.format, formula);
         api::CachePlan plan = api::planCache(solveCache(), strat, ropts.cacheControl, dqcir);
         // One parse keys the plan and, on a miss, feeds the solve.  An
         // unparsable body leaves the plan unkeyed; the solve path below
@@ -1140,13 +1139,7 @@ struct SolverService::Impl {
                 api::CachePlan plan =
                     api::planCache(solveCache(), findStrategy(op.ropts.strategy),
                                    op.ropts.cacheControl, op.session->circuitBased());
-                if (plan.write) {
-                    try {
-                        plan.keyBy(parseDqdimacsString(outcome.effectiveText));
-                    } catch (const std::exception&) {
-                        // Unkeyed: nothing is stored.
-                    }
-                }
+                plan.keyBy(outcome.effective);
                 if (api::storeCache(plan, guarded.result, "hqs", wallMs, outcome.certificate))
                     counters.cacheStores.fetch_add(1, std::memory_order_relaxed);
             }

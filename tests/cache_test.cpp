@@ -713,6 +713,23 @@ TEST(CachePlan, ModeTableOverStrategyCacheControlAndFormat)
     }
 }
 
+TEST(CachePlan, ConfigTakesTheStrategyBudgetOrTheCacheDefaults)
+{
+    const cache::CacheConfig defaults;
+    const cache::CacheConfig plain = api::cacheConfig("dir-a", nullptr);
+    EXPECT_EQ(plain.dir, "dir-a");
+    EXPECT_EQ(plain.maxBytes, defaults.maxBytes);
+    EXPECT_EQ(plain.ttlSeconds, defaults.ttlSeconds);
+
+    strategy::StrategySpec spec = strategy::defaultStrategySpec();
+    spec.cache.maxBytes = 4096;
+    spec.cache.ttlSeconds = 30;
+    const cache::CacheConfig fromSpec = api::cacheConfig("", &spec);
+    EXPECT_EQ(fromSpec.dir, "");
+    EXPECT_EQ(fromSpec.maxBytes, 4096u);
+    EXPECT_EQ(fromSpec.ttlSeconds, 30);
+}
+
 TEST(CachePlan, KeysOnceFromTheParsedFormula)
 {
     cache::ResultCache rc;

@@ -357,6 +357,15 @@ TEST(Dqcir, ContentSniffing)
     EXPECT_TRUE(looksLikeDqcir("\n  \n#QCIR-G14\noutput(g)\ng = and()\n"));
     EXPECT_FALSE(looksLikeDqcir("c comment\np cnf 2 1\na 1 0\n1 -2 0\n"));
     EXPECT_FALSE(looksLikeDqcir(""));
+
+    // A declared format overrides the sniff; only "" sniffs.
+    const std::string cnf = "p cnf 2 1\na 1 0\n1 -2 0\n";
+    EXPECT_TRUE(isCircuitInput("", kSatCircuit));
+    EXPECT_FALSE(isCircuitInput("", cnf));
+    EXPECT_TRUE(isCircuitInput("dqcir", kSatCircuit));
+    EXPECT_TRUE(isCircuitInput("dqcir", cnf));
+    EXPECT_FALSE(isCircuitInput("dqdimacs", kSatCircuit));
+    EXPECT_FALSE(isCircuitInput("dqdimacs", cnf));
 }
 
 TEST(Dqcir, FileNotFoundThrows)

@@ -1,5 +1,5 @@
 // Tests for the QBF layer: prefix bookkeeping, the elimination-based AIG
-// solver, the search-based cross-check solver, and their agreement with the
+// solver, and its agreement with the BDD elimination solver and the
 // brute-force oracle on randomized prefixes.
 #include <gtest/gtest.h>
 
@@ -9,8 +9,8 @@
 #include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
 #include "src/qbf/aig_qbf_solver.hpp"
+#include "src/qbf/bdd_qbf_solver.hpp"
 #include "src/qbf/qbf_oracle.hpp"
-#include "src/qbf/search_qbf_solver.hpp"
 
 namespace hqs {
 namespace {
@@ -257,7 +257,7 @@ TEST(AigQbfSolver, NodeLimitYieldsMemout)
     EXPECT_TRUE(r == SolveResult::Memout || isConclusive(r));
 }
 
-// ----- Randomized agreement: elimination vs search vs oracle ---------------
+// ----- Randomized agreement: AIG elimination vs BDD elimination vs oracle ---
 
 class RandomQbfAgreement : public ::testing::TestWithParam<int> {};
 
@@ -282,9 +282,8 @@ TEST_P(RandomQbfAgreement, AllThreeSolversAgree)
 
     EXPECT_EQ(solveElim(q) == SolveResult::Sat, expected);
 
-    Aig aig;
-    const AigEdge matrix = buildFromCnf(aig, q.matrix);
-    EXPECT_EQ(searchQbfSolve(aig, matrix, q.prefix) == SolveResult::Sat, expected);
+    BddQbfSolver bdd;
+    EXPECT_EQ(bdd.solve(q.matrix, q.prefix) == SolveResult::Sat, expected);
 
     // Elimination with optimizations off must agree, too.
     AigQbfOptions plain;

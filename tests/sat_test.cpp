@@ -8,6 +8,20 @@
 namespace hqs {
 namespace {
 
+/// Pigeonhole principle PHP(P, H): P pigeons into H < P holes, Unsat.
+void addPigeonHole(SatSolver& s, int P, int H)
+{
+    auto p = [H](int i, int j) { return Lit::pos(static_cast<Var>(H * i + j)); };
+    for (int i = 0; i < P; ++i) {
+        std::vector<Lit> c;
+        for (int j = 0; j < H; ++j) c.push_back(p(i, j));
+        s.addClause(std::move(c));
+    }
+    for (int j = 0; j < H; ++j)
+        for (int i1 = 0; i1 < P; ++i1)
+            for (int i2 = i1 + 1; i2 < P; ++i2) s.addClause({~p(i1, j), ~p(i2, j)});
+}
+
 TEST(SatSolver, EmptyFormulaIsSat)
 {
     SatSolver s;
@@ -58,16 +72,7 @@ TEST(SatSolver, PigeonHole3Into2IsUnsat)
 TEST(SatSolver, PigeonHole5Into4IsUnsat)
 {
     SatSolver s;
-    constexpr int P = 5, H = 4;
-    auto p = [](int i, int j) { return Lit::pos(static_cast<Var>(H * i + j)); };
-    for (int i = 0; i < P; ++i) {
-        std::vector<Lit> c;
-        for (int j = 0; j < H; ++j) c.push_back(p(i, j));
-        s.addClause(std::move(c));
-    }
-    for (int j = 0; j < H; ++j)
-        for (int i1 = 0; i1 < P; ++i1)
-            for (int i2 = i1 + 1; i2 < P; ++i2) s.addClause({~p(i1, j), ~p(i2, j)});
+    addPigeonHole(s, 5, 4);
     EXPECT_EQ(s.solve(), SolveResult::Unsat);
     EXPECT_GT(s.stats().conflicts, 0u);
 }
@@ -225,19 +230,30 @@ TEST(SatSolver, DeadlineProducesTimeout)
 {
     // A hard pigeonhole instance with an (essentially) immediate deadline.
     SatSolver s;
-    constexpr int P = 11, H = 10;
-    auto p = [](int i, int j) { return Lit::pos(static_cast<Var>(H * i + j)); };
-    for (int i = 0; i < P; ++i) {
-        std::vector<Lit> c;
-        for (int j = 0; j < H; ++j) c.push_back(p(i, j));
-        s.addClause(std::move(c));
-    }
-    for (int j = 0; j < H; ++j)
-        for (int i1 = 0; i1 < P; ++i1)
-            for (int i2 = i1 + 1; i2 < P; ++i2) s.addClause({~p(i1, j), ~p(i2, j)});
+    addPigeonHole(s, 11, 10);
     const SolveResult r = s.solve({}, Deadline::in(0.01));
     // Either it times out (expected) or the solver is startlingly fast.
     EXPECT_TRUE(r == SolveResult::Timeout || r == SolveResult::Unsat);
+}
+
+TEST(SatSolver, ConflictLimitYieldsUnknownDeterministically)
+{
+    // PHP(8, 7) needs far more than 100 conflicts; the limit, unlike a
+    // deadline, stops every run at the same point whatever the host load.
+    for (int run = 0; run < 3; ++run) {
+        SatSolver s;
+        addPigeonHole(s, 8, 7);
+        EXPECT_EQ(s.solve({}, Deadline::unlimited(), 100), SolveResult::Unknown) << run;
+        EXPECT_EQ(s.stats().conflicts, 100u) << run;
+        // The limit counts this call's conflicts: a second call gets its own.
+        EXPECT_EQ(s.solve({}, Deadline::unlimited(), 100), SolveResult::Unknown) << run;
+        EXPECT_EQ(s.stats().conflicts, 200u) << run;
+    }
+
+    // A limit the proof fits under does not change the answer.
+    SatSolver small;
+    addPigeonHole(small, 5, 4);
+    EXPECT_EQ(small.solve({}, Deadline::unlimited(), 100000), SolveResult::Unsat);
 }
 
 TEST(SatSolver, StatsAreTracked)

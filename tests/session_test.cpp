@@ -4,7 +4,7 @@
 // after `open + N deltas` — and the Skolem certificate it merges from
 // per-component traces — must be indistinguishable from a cold solve of
 // the effective formula the session claims to have decided.  Verdicts are
-// compared against a fresh HqsSolver on SessionSolveOutcome::effectiveText;
+// compared against a fresh HqsSolver on SessionSolveOutcome::effective;
 // certificates must parse, pass the independent checker (the dqbf_check
 // path), and hash-bind to the effective formula, not the base.
 //
@@ -80,6 +80,16 @@ void expectCheckableAgainst(const std::string& certificate,
     EXPECT_EQ(parsed.hash, cert::formulaHash(effective.toParsed()));
 }
 
+/// The service keys a session verdict by the effective formula itself; a
+/// later cold request for the same formula arrives as its text.  Both must
+/// land on one cache key and one certificate hash.
+void expectKeyedLikeItsText(const ParsedQdimacs& effective)
+{
+    const ParsedQdimacs reparsed = parseDqdimacsString(toDqdimacsString(effective));
+    EXPECT_EQ(cache::canonicalKey(effective), cache::canonicalKey(reparsed));
+    EXPECT_EQ(cert::formulaHash(effective), cert::formulaHash(reparsed));
+}
+
 SessionDelta addGroup(const std::string& name, const std::string& clauses)
 {
     SessionDelta d;
@@ -133,7 +143,7 @@ TEST(SessionDifferential, DeltaVerdictsMatchColdSolvesOfTheEffectiveFormula)
     EXPECT_EQ(s.baseClauses(), 5u);
 
     // Each step mutates the effective formula; after every step the session
-    // verdict must equal a cold solve of outcome.effectiveText, and SAT
+    // verdict must equal a cold solve of outcome.effective, and SAT
     // verdicts must come with a checkable certificate.
     const std::vector<SessionDelta> steps = {
         // Unit e3 forces u1/u2 true on every branch: UNSAT, touches A only.
@@ -160,16 +170,17 @@ TEST(SessionDifferential, DeltaVerdictsMatchColdSolvesOfTheEffectiveFormula)
     SessionSolveOutcome out = s.solve(sopts);
     EXPECT_EQ(out.result, SolveResult::Sat);
     EXPECT_EQ(out.components, 2u);
-    EXPECT_EQ(out.result, coldSolve(out.effectiveText));
-    expectCheckableAgainst(out.certificate, out.effectiveText);
+    EXPECT_EQ(out.result, coldSolve(toDqdimacsString(out.effective)));
+    expectCheckableAgainst(out.certificate, toDqdimacsString(out.effective));
 
     for (std::size_t i = 0; i < steps.size(); ++i) {
         s.applyDelta(steps[i]);
         out = s.solve(sopts);
         EXPECT_EQ(out.result, expected[i]) << "step " << i;
-        EXPECT_EQ(out.result, coldSolve(out.effectiveText)) << "step " << i;
+        EXPECT_EQ(out.result, coldSolve(toDqdimacsString(out.effective))) << "step " << i;
+        expectKeyedLikeItsText(out.effective);
         if (out.result == SolveResult::Sat)
-            expectCheckableAgainst(out.certificate, out.effectiveText);
+            expectCheckableAgainst(out.certificate, toDqdimacsString(out.effective));
     }
     EXPECT_EQ(s.deltasApplied(), steps.size());
 }
@@ -180,18 +191,18 @@ TEST(SessionDifferential, AssumptionSolvesMatchColdAndBypassNothingStale)
     SessionSolveOptions sopts;
 
     // Assuming e5 true forces u4 true for every branch: UNSAT.  The cold
-    // solve of effectiveText agreeing proves the assumption was embedded
+    // solve of the effective formula agreeing proves the assumption was embedded
     // in the effective formula as a unit clause.
     SessionSolveOutcome out = s.solve(sopts, "5");
     EXPECT_TRUE(out.usedAssumptions);
     EXPECT_EQ(out.result, SolveResult::Unsat);
-    EXPECT_EQ(out.result, coldSolve(out.effectiveText));
+    EXPECT_EQ(out.result, coldSolve(toDqdimacsString(out.effective)));
 
     // The assumption was request-local: the next plain solve is SAT again.
     out = s.solve(sopts);
     EXPECT_FALSE(out.usedAssumptions);
     EXPECT_EQ(out.result, SolveResult::Sat);
-    EXPECT_EQ(out.result, coldSolve(out.effectiveText));
+    EXPECT_EQ(out.result, coldSolve(toDqdimacsString(out.effective)));
 }
 
 // --- component reuse --------------------------------------------------------
@@ -233,7 +244,7 @@ TEST(SessionReuse, CertifyRequiresAMatchingSkolemTraceToReuse)
     certify.certify = true;
     out = s.solve(certify);
     EXPECT_EQ(out.result, SolveResult::Sat);
-    expectCheckableAgainst(out.certificate, out.effectiveText);
+    expectCheckableAgainst(out.certificate, toDqdimacsString(out.effective));
 }
 
 // --- delta validation -------------------------------------------------------
