@@ -71,13 +71,98 @@ AigEdge Aig::fanin1(AigEdge e) const
 
 AigEdge Aig::mkAnd(AigEdge a, AigEdge b)
 {
-    // Constant folding and trivial cases.
-    if (a == constFalse() || b == constFalse()) return constFalse();
-    if (a == constTrue()) return b;
-    if (b == constTrue()) return a;
-    if (a == b) return a;
-    if (a == ~b) return constFalse();
-    return mkAndRaw(a, b);
+    // Substitution continues with a smaller operand pair instead of
+    // recursing: each round replaces an AND operand by one of its fanins,
+    // whose index is lower, so the loop ends, and only the final mkAndRaw
+    // allocates.
+    for (;;) {
+        // Level 1: constant folding and trivial cases.
+        if (a == constFalse() || b == constFalse()) return constFalse();
+        if (a == constTrue()) return b;
+        if (b == constTrue()) return a;
+        if (a == b) return a;
+        if (a == ~b) return constFalse();
+
+        // Level 2 (Brummayer & Biere, MEMICS 2006): look one level into
+        // AND operands.  Asymmetric rules first: x an AND, y any edge.
+        const Node& na = node(a);
+        const Node& nb = node(b);
+        const bool andA = na.extVar == kNoVar;
+        const bool andB = nb.extVar == kNoVar;
+        if (!andA && !andB) return mkAndRaw(a, b);
+        bool substituted = false;
+        for (int side = 0; side < 2 && !substituted; ++side) {
+            if (!(side == 0 ? andA : andB)) continue;
+            const AigEdge x = side == 0 ? a : b;
+            const AigEdge y = side == 0 ? b : a;
+            const AigEdge x0 = (side == 0 ? na : nb).fanin0;
+            const AigEdge x1 = (side == 0 ? na : nb).fanin1;
+            if (!x.complemented()) {
+                if (x0 == ~y || x1 == ~y) { // (p & q) & ~p  ->  0
+                    ++stats_.rewriteContradiction;
+                    return constFalse();
+                }
+                if (x0 == y || x1 == y) { // (p & q) & p  ->  p & q
+                    ++stats_.rewriteIdempotence;
+                    return x;
+                }
+            } else {
+                if (x0 == ~y || x1 == ~y) { // ~(p & q) & ~p  ->  ~p
+                    ++stats_.rewriteSubsumption;
+                    return y;
+                }
+                if (x0 == y || x1 == y) { // ~(p & q) & p  ->  p & ~q
+                    ++stats_.rewriteSubstitution;
+                    a = y;
+                    b = ~(x0 == y ? x1 : x0);
+                    substituted = true;
+                }
+            }
+        }
+        if (substituted) continue;
+        if (!andA || !andB) return mkAndRaw(a, b);
+
+        // Symmetric rules: both operands ANDs.
+        const AigEdge a0 = na.fanin0, a1 = na.fanin1;
+        const AigEdge b0 = nb.fanin0, b1 = nb.fanin1;
+        if (!a.complemented() && !b.complemented()) {
+            // (p & q) & (~p & r)  ->  0
+            if (a0 == ~b0 || a0 == ~b1 || a1 == ~b0 || a1 == ~b1) {
+                ++stats_.rewriteContradiction;
+                return constFalse();
+            }
+        } else if (a.complemented() && b.complemented()) {
+            // ~(p & q) & ~(p & ~q)  ->  ~p, whichever fanins p and q are
+            if ((a0 == b0 && a1 == ~b1) || (a0 == b1 && a1 == ~b0)) {
+                ++stats_.rewriteResolution;
+                return ~a0;
+            }
+            if ((a1 == b0 && a0 == ~b1) || (a1 == b1 && a0 == ~b0)) {
+                ++stats_.rewriteResolution;
+                return ~a1;
+            }
+        } else {
+            // n = ~(n0 & n1) negated, p = (p0 & p1) positive.
+            const AigEdge pos = a.complemented() ? b : a;
+            const AigEdge n0 = a.complemented() ? a0 : b0;
+            const AigEdge n1 = a.complemented() ? a1 : b1;
+            const AigEdge p0 = a.complemented() ? b0 : a0;
+            const AigEdge p1 = a.complemented() ? b1 : a1;
+            // ~(p & q) & (~p & r)  ->  ~p & r
+            if (n0 == ~p0 || n0 == ~p1 || n1 == ~p0 || n1 == ~p1) {
+                ++stats_.rewriteSubsumption;
+                return pos;
+            }
+            // ~(p & q) & (p & r)  ->  (p & r) & ~q
+            if (n0 == p0 || n0 == p1 || n1 == p0 || n1 == p1) {
+                ++stats_.rewriteSubstitution;
+                a = pos;
+                b = ~(n0 == p0 || n0 == p1 ? n1 : n0);
+                continue;
+            }
+        }
+        return mkAndRaw(a, b);
+    }
 }
 
 std::uint64_t Aig::strashHash(std::uint32_t aCode, std::uint32_t bCode)
@@ -358,6 +443,16 @@ void Aig::publishKernelStats()
     AigKernelStats& p = published_;
     OBS_COUNT("aig.strash.probes", static_cast<std::int64_t>(s.strashProbes - p.strashProbes));
     OBS_COUNT("aig.strash.resizes", static_cast<std::int64_t>(s.strashResizes - p.strashResizes));
+    OBS_COUNT("aig.rewrite.contradiction",
+              static_cast<std::int64_t>(s.rewriteContradiction - p.rewriteContradiction));
+    OBS_COUNT("aig.rewrite.idempotence",
+              static_cast<std::int64_t>(s.rewriteIdempotence - p.rewriteIdempotence));
+    OBS_COUNT("aig.rewrite.subsumption",
+              static_cast<std::int64_t>(s.rewriteSubsumption - p.rewriteSubsumption));
+    OBS_COUNT("aig.rewrite.substitution",
+              static_cast<std::int64_t>(s.rewriteSubstitution - p.rewriteSubstitution));
+    OBS_COUNT("aig.rewrite.resolution",
+              static_cast<std::int64_t>(s.rewriteResolution - p.rewriteResolution));
     OBS_COUNT("aig.gc.runs", static_cast<std::int64_t>(s.gcRuns - p.gcRuns));
     OBS_COUNT("aig.gc.reclaimed",
               static_cast<std::int64_t>(s.gcReclaimedNodes - p.gcReclaimedNodes));

@@ -4,8 +4,10 @@
 // An Aig manager owns a pool of nodes; each node is either the constant,
 // an input (labelled with an external variable), or a two-input AND.
 // Negation is free: edges carry a complement bit.  mkAnd performs constant
-// folding and structural hashing, so structurally identical functions share
-// nodes (full functional reduction — FRAIGing — is in fraig.hpp).
+// folding, the two-level rewriting rules of Brummayer & Biere (MEMICS 2006;
+// at most one new node per call) and structural hashing, so structurally
+// identical functions share nodes and local redundancy folds as cones are
+// rebuilt (full functional reduction — FRAIGing — is in fraig.hpp).
 //
 // The kernel follows the classic AIG/BDD-package disciplines (ABC's AIG
 // manager; CUDD's unique table):
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "src/base/literal.hpp"
+#include "src/base/timer.hpp"
 
 namespace hqs {
 
@@ -143,11 +146,18 @@ private:
 };
 
 /// Cumulative kernel instrumentation (monotonic over the manager's life).
-/// Mirrored into the obs registry as aig.strash.*, aig.gc.*
+/// Mirrored into the obs registry as aig.strash.*, aig.rewrite.*, aig.gc.*
 /// and the aig.nodes.peak_* gauges by publishKernelStats()/garbageCollect.
 struct AigKernelStats {
     std::uint64_t strashProbes = 0;   ///< table slots inspected by mkAnd
     std::uint64_t strashResizes = 0;  ///< doublings of the strash table
+    /// mkAnd calls settled by each two-level rewriting rule (a substitution
+    /// counts once per round it continues with).
+    std::uint64_t rewriteContradiction = 0;
+    std::uint64_t rewriteIdempotence = 0;
+    std::uint64_t rewriteSubsumption = 0;
+    std::uint64_t rewriteSubstitution = 0;
+    std::uint64_t rewriteResolution = 0;
     std::uint64_t gcRuns = 0;
     std::uint64_t gcReclaimedNodes = 0;
     std::uint64_t peakLiveNodes = 0;  ///< max live nodes seen at a GC mark
@@ -198,6 +208,11 @@ public:
     // ----- substitution and quantification (quantify.cpp) -------------------
     /// phi[value/v].
     AigEdge cofactor(AigEdge root, Var v, bool value);
+    /// phi[value/v], or an invalid edge once @p deadline has expired: the
+    /// rebuild polls it every kDeadlinePollNodes rebuilt nodes and abandons
+    /// the partial copy (garbage for the next collection).
+    AigEdge cofactor(AigEdge root, Var v, bool value, const Deadline& deadline);
+    static constexpr std::uint32_t kDeadlinePollNodes = 4096;
     /// phi[g/v] (single composition).
     AigEdge compose(AigEdge root, Var v, AigEdge g);
     /// Simultaneous substitution var -> function for every entry of @p sub.
@@ -248,7 +263,8 @@ public:
     // ----- instrumentation --------------------------------------------------
     const AigKernelStats& kernelStats() const { return stats_; }
     /// Push the deltas since the last publish into the obs registry
-    /// (aig.strash.probes, aig.strash.resizes, aig.gc.runs, aig.gc.reclaimed
+    /// (aig.strash.probes, aig.strash.resizes, the aig.rewrite.<rule>
+    /// counters, aig.gc.runs, aig.gc.reclaimed
     /// and the aig.nodes.peak_live / aig.nodes.peak_alloc gauges).  Called by
     /// garbageCollect; call once more when a solve finishes.
     void publishKernelStats();
@@ -306,8 +322,11 @@ private:
     void strashInsertNew(std::uint32_t idx); ///< insert without duplicate check
     static std::uint64_t strashHash(std::uint32_t aCode, std::uint32_t bCode);
 
-    // the one cone rebuild behind every substitution (quantify.cpp)
-    template <class Lookup> AigEdge substituteImpl(AigEdge root, Lookup&& lookup);
+    // the one cone rebuild behind every substitution (quantify.cpp); an
+    // invalid edge once @p deadline (optional) expires
+    template <class Lookup>
+    AigEdge substituteImpl(AigEdge root, Lookup&& lookup, const Deadline* deadline);
+    AigEdge composeImpl(AigEdge root, Var v, AigEdge g, const Deadline* deadline);
 
     const Node& node(AigEdge e) const { return nodes_[e.nodeIndex()]; }
 

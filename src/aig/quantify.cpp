@@ -15,10 +15,13 @@ namespace hqs {
 /// @p lookup is called for input nodes as lookup(Var, AigEdge* out) and
 /// returns true when the variable is mapped.  Results are memoized per old
 /// node index in trav_ (slot = rebuilt edge code for the uncomplemented
-/// node function).
+/// node function).  A non-null @p deadline is polled every
+/// kDeadlinePollNodes rebuilt AND nodes; once it has expired the rebuild
+/// stops and returns an invalid edge.
 template <class Lookup>
-AigEdge Aig::substituteImpl(AigEdge root, Lookup&& lookup)
+AigEdge Aig::substituteImpl(AigEdge root, Lookup&& lookup, const Deadline* deadline)
 {
+    std::uint32_t rebuilt = 0;
     // trav_ is sized to the pool at entry; mkAnd may append nodes beyond
     // that, but only old indices (< oldSize) are ever queried.
     trav_.reset(nodes_.size());
@@ -60,6 +63,9 @@ AigEdge Aig::substituteImpl(AigEdge root, Lookup&& lookup)
             AigEdge::fromCode(static_cast<std::uint32_t>(trav_.get(i1))) ^ f1.complemented();
         trav_.set(idx, mkAnd(a, b).code());
         stack_.pop_back();
+        if (deadline && ++rebuilt % kDeadlinePollNodes == 0 && deadline->expired()) {
+            return AigEdge();
+        }
     }
     return AigEdge::fromCode(static_cast<std::uint32_t>(trav_.get(root.nodeIndex()))) ^
            root.complemented();
@@ -72,28 +78,41 @@ AigEdge Aig::substitute(AigEdge root, const Substitution& sub)
         const Var v = sub.domain().front();
         return compose(root, v, sub.image(v));
     }
-    return substituteImpl(root, [&sub](Var v, AigEdge* out) {
-        if (!sub.maps(v)) return false;
-        *out = sub.image(v);
-        return true;
-    });
+    return substituteImpl(
+        root,
+        [&sub](Var v, AigEdge* out) {
+            if (!sub.maps(v)) return false;
+            *out = sub.image(v);
+            return true;
+        },
+        nullptr);
 }
 
 AigEdge Aig::cofactor(AigEdge root, Var v, bool value)
 {
-    return compose(root, v, value ? constTrue() : constFalse());
+    return composeImpl(root, v, value ? constTrue() : constFalse(), nullptr);
 }
 
-AigEdge Aig::compose(AigEdge root, Var v, AigEdge g)
+AigEdge Aig::cofactor(AigEdge root, Var v, bool value, const Deadline& deadline)
+{
+    return composeImpl(root, v, value ? constTrue() : constFalse(), &deadline);
+}
+
+AigEdge Aig::compose(AigEdge root, Var v, AigEdge g) { return composeImpl(root, v, g, nullptr); }
+
+AigEdge Aig::composeImpl(AigEdge root, Var v, AigEdge g, const Deadline* deadline)
 {
     if (!hasVariable(v) || isConstant(root)) return root;
     // A one-variable lookup rather than scratchSubstitution(): the caller
     // may be building the scratch map at this moment.
-    return substituteImpl(root, [v, g](Var x, AigEdge* out) {
-        if (x != v) return false;
-        *out = g;
-        return true;
-    });
+    return substituteImpl(
+        root,
+        [v, g](Var x, AigEdge* out) {
+            if (x != v) return false;
+            *out = g;
+            return true;
+        },
+        deadline);
 }
 
 AigEdge Aig::existsVar(AigEdge root, Var v)

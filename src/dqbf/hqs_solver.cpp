@@ -213,7 +213,8 @@ SolveResult HqsSolver::solve(DqbfFormula f)
                         kernel.dropUnsupported(y, ops);
                         continue;
                     }
-                    kernel.eliminateExists(y);
+                    if (SolveResult r = kernel.eliminateExists(y); r != SolveResult::Unknown)
+                        return finish(r, "elimination");
                     f.removeExistential(y);
                     ++stats_.existentialsEliminated;
                     OBS_COUNT("hqs.elim.existential", 1);
@@ -268,10 +269,11 @@ SolveResult HqsSolver::solve(DqbfFormula f)
         {
             OBS_PHASE(unSpan, "hqs.elim_universal", "phase.elim_universal.us");
             const std::size_t nodesBefore = aig.numNodes();
-            const AigEdge cof0 = aig.cofactor(matrix, pick, false);
+            // A cofactor abandoned at the deadline is an invalid edge.
+            const AigEdge cof0 = aig.cofactor(matrix, pick, false, opts_.deadline);
             if (opts_.deadline.expired())
                 return finish(deadlineExceededResult(opts_.deadline), "elimination");
-            AigEdge cof1 = aig.cofactor(matrix, pick, true);
+            AigEdge cof1 = aig.cofactor(matrix, pick, true, opts_.deadline);
             if (opts_.deadline.expired()) return finish(deadlineExceededResult(opts_.deadline), "elimination");
             const std::vector<Var> supp1 = aig.support(cof1);
             const std::unordered_set<Var> supp1Set(supp1.begin(), supp1.end());

@@ -46,11 +46,11 @@ SolveResult AigQbfSolver::solve(Aig& aig, AigEdge root, QbfPrefix prefix)
         if (pick == kNoVar) continue; // whole block vanished
 
         if (prefix.kindOf(pick) == QuantKind::Exists) {
-            kernel.eliminateExists(pick);
+            if (SolveResult r = kernel.eliminateExists(pick); r != SolveResult::Unknown) return r;
             ++stats_.existentialEliminations;
             OBS_COUNT("qbf.elim.existential", 1);
         } else {
-            matrix = aig.forallVar(matrix, pick);
+            if (SolveResult r = kernel.eliminateForall(pick); r != SolveResult::Unknown) return r;
             ++stats_.universalEliminations;
             OBS_COUNT("qbf.elim.universal", 1);
         }

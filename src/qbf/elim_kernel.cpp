@@ -147,12 +147,32 @@ SolveResult ElimKernel::unitPurePass(const PrefixOps& prefix)
     return SolveResult::Unknown;
 }
 
-void ElimKernel::eliminateExists(Var v)
+std::optional<std::pair<AigEdge, AigEdge>> ElimKernel::cofactors(Var v)
 {
-    const AigEdge cof0 = aig_.cofactor(matrix_, v, false);
-    const AigEdge cof1 = aig_.cofactor(matrix_, v, true);
-    if (recorder_) recorder_->record(SkolemRecorder::Exists{v, cof1});
-    matrix_ = aig_.mkOr(cof0, cof1);
+    // One cofactor of a large cone can take longer than the whole budget,
+    // so the rebuild itself polls the deadline.
+    const AigEdge cof0 = aig_.cofactor(matrix_, v, false, limits_.deadline);
+    if (!cof0.isValid()) return std::nullopt;
+    const AigEdge cof1 = aig_.cofactor(matrix_, v, true, limits_.deadline);
+    if (!cof1.isValid()) return std::nullopt;
+    return std::pair{cof0, cof1};
+}
+
+SolveResult ElimKernel::eliminateExists(Var v)
+{
+    const auto cofs = cofactors(v);
+    if (!cofs) return deadlineExceededResult(limits_.deadline);
+    if (recorder_) recorder_->record(SkolemRecorder::Exists{v, cofs->second});
+    matrix_ = aig_.mkOr(cofs->first, cofs->second);
+    return SolveResult::Unknown;
+}
+
+SolveResult ElimKernel::eliminateForall(Var v)
+{
+    const auto cofs = cofactors(v);
+    if (!cofs) return deadlineExceededResult(limits_.deadline);
+    matrix_ = aig_.mkAnd(cofs->first, cofs->second);
+    return SolveResult::Unknown;
 }
 
 void ElimKernel::dropUnsupported(Var v, const PrefixOps& prefix)

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <utility>
 
 #include "src/aig/aig.hpp"
 #include "src/base/result.hpp"
@@ -92,13 +93,19 @@ public:
     /// Unknown otherwise.
     SolveResult unitPurePass(const PrefixOps& prefix);
     /// ∃v.phi = phi[0/v] | phi[1/v], recording phi[1/v] for Skolem
-    /// reconstruction.  The caller removes @p v from its prefix.
-    void eliminateExists(Var v);
+    /// reconstruction.  Unknown when done, and the caller removes @p v from
+    /// its prefix; the deadline result, matrix unchanged, when the deadline
+    /// expires inside a cofactor rebuild.
+    SolveResult eliminateExists(Var v);
+    /// ∀v.phi = phi[0/v] & phi[1/v]; results as for eliminateExists.
+    SolveResult eliminateForall(Var v);
     /// Remove @p v, absent from the matrix, from the prefix; an existential
     /// is pinned to false in the Skolem trace.
     void dropUnsupported(Var v, const PrefixOps& prefix);
 
 private:
+    /// phi[0/v] and phi[1/v] under the deadline (nullopt once it expires).
+    std::optional<std::pair<AigEdge, AigEdge>> cofactors(Var v);
     /// Mark-compact, keeping the matrix and the recorder's cofactors.
     void collectGarbage();
     /// FRAIG-reduce the matrix; returns the swept cone's size.

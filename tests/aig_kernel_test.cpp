@@ -1063,5 +1063,146 @@ TEST(AigKernel, FraigRegistryCountersAndTriggersMatchTheKernelsSweeps)
     EXPECT_EQ(occurrences("\"trigger\":\"over-budget\""), 2u);
 }
 
+// ------------------------------------------------- two-level rewriting ---
+
+/// Truth table of @p e over variables 0..3 (bit i: the value under the
+/// assignment whose bit v is variable v).
+std::uint16_t table16(const Aig& aig, AigEdge e)
+{
+    std::uint16_t tt = 0;
+    for (unsigned bits = 0; bits < 16; ++bits) {
+        if (aig.evaluate(e, assignmentFromBits(bits))) tt |= 1u << bits;
+    }
+    return tt;
+}
+
+TEST(AigKernel, EachRewriteRuleYieldsItsDocumentedResult)
+{
+    Aig aig;
+    const AigEdge a = aig.variable(0);
+    const AigEdge b = aig.variable(1);
+    const AigEdge c = aig.variable(2);
+    const AigEdge ab = aig.mkAnd(a, b);
+    const AigEdge nac = aig.mkAnd(~a, c);
+    const AigEdge ac = aig.mkAnd(a, c);
+    // contradiction
+    EXPECT_EQ(aig.mkAnd(ab, ~a), aig.constFalse());
+    EXPECT_EQ(aig.mkAnd(ab, nac), aig.constFalse());
+    // idempotence
+    EXPECT_EQ(aig.mkAnd(ab, a), ab);
+    // subsumption
+    EXPECT_EQ(aig.mkAnd(~ab, ~a), ~a);
+    EXPECT_EQ(aig.mkAnd(~ab, nac), nac);
+    // substitution
+    EXPECT_EQ(aig.mkAnd(~ab, a), aig.mkAnd(a, ~b));
+    EXPECT_EQ(aig.mkAnd(~ab, ac), aig.mkAnd(ac, ~b));
+    // resolution
+    EXPECT_EQ(aig.mkAnd(~ab, ~aig.mkAnd(a, ~b)), ~a);
+    const AigKernelStats& st = aig.kernelStats();
+    EXPECT_EQ(st.rewriteContradiction, 2u);
+    EXPECT_EQ(st.rewriteIdempotence, 1u);
+    EXPECT_EQ(st.rewriteSubsumption, 2u);
+    EXPECT_EQ(st.rewriteSubstitution, 2u);
+    EXPECT_EQ(st.rewriteResolution, 1u);
+}
+
+TEST(AigKernel, TwoLevelRewritingIsSoundOnEveryTwoLevelOperandPair)
+{
+    // The rules inspect only the operands and their fanins, so operands
+    // that are constants, literals, or ANDs of two literal/constant edges
+    // (either polarity) over four variables reach every rule in every
+    // orientation.  mkAndN/mkOr/importCone and the AIGER reader of the
+    // certificate checker all build through mkAnd, so this sweep is the
+    // rules' soundness proof.
+    Aig aig;
+    std::vector<AigEdge> leaves{aig.constFalse(), aig.constTrue()};
+    for (Var v = 0; v < 4; ++v) {
+        leaves.push_back(aig.variable(v));
+        leaves.push_back(~aig.variable(v));
+    }
+    std::vector<AigEdge> operands = leaves;
+    for (AigEdge p : leaves) {
+        for (AigEdge q : leaves) {
+            const AigEdge g = aig.mkAnd(p, q);
+            operands.push_back(g);
+            operands.push_back(~g);
+        }
+    }
+    std::sort(operands.begin(), operands.end());
+    operands.erase(std::unique(operands.begin(), operands.end()), operands.end());
+    std::vector<std::uint16_t> tables;
+    for (AigEdge e : operands) tables.push_back(table16(aig, e));
+
+    obs::MetricScope scope;
+    for (std::size_t i = 0; i < operands.size(); ++i) {
+        for (std::size_t j = 0; j < operands.size(); ++j) {
+            const std::size_t before = aig.numNodes();
+            const AigEdge r = aig.mkAnd(operands[i], operands[j]);
+            ASSERT_LE(aig.numNodes(), before + 1) << operands[i] << " & " << operands[j];
+            ASSERT_EQ(table16(aig, r), tables[i] & tables[j])
+                << operands[i] << " & " << operands[j];
+        }
+    }
+    aig.publishKernelStats();
+    const AigKernelStats& st = aig.kernelStats();
+    const std::pair<const char*, std::uint64_t> rules[] = {
+        {"aig.rewrite.contradiction", st.rewriteContradiction},
+        {"aig.rewrite.idempotence", st.rewriteIdempotence},
+        {"aig.rewrite.subsumption", st.rewriteSubsumption},
+        {"aig.rewrite.substitution", st.rewriteSubstitution},
+        {"aig.rewrite.resolution", st.rewriteResolution}};
+    for (const auto& [name, fired] : rules) {
+        EXPECT_GT(fired, 0u) << name;
+        EXPECT_EQ(counter(scope, name), fired) << name;
+    }
+}
+
+// ------------------------------------------------ deadline inside rebuilds --
+
+/// An XOR chain over fresh variables on top of variable 0: every one of its
+/// ~3 * @p steps AND nodes depends on variable 0, so cofactoring variable 0
+/// rebuilds the whole cone.
+AigEdge xorChain(Aig& aig, Var steps)
+{
+    AigEdge g = aig.variable(0);
+    for (Var v = 1; v <= steps; ++v) g = aig.mkXor(g, aig.variable(v));
+    return g;
+}
+
+Deadline expiredDeadline()
+{
+    const Deadline d = Deadline::in(1e-6);
+    while (!d.expired()) {
+    }
+    return d;
+}
+
+TEST(AigKernel, ExpiredDeadlineAbandonsALargeCofactorWithinOnePollInterval)
+{
+    Aig aig;
+    const AigEdge f = xorChain(aig, 4000);
+    ASSERT_GE(aig.coneSize(f), 10000u);
+    const std::size_t before = aig.numNodes();
+    EXPECT_FALSE(aig.cofactor(f, 0, false, expiredDeadline()).isValid());
+    EXPECT_LT(aig.numNodes() - before, 2 * Aig::kDeadlinePollNodes);
+    // Without expiry the polled rebuild is the plain cofactor.
+    const AigEdge polled = aig.cofactor(f, 0, true, Deadline::in(3600));
+    EXPECT_EQ(polled, aig.cofactor(f, 0, true));
+}
+
+TEST(AigKernel, EliminationAbandonedAtTheDeadlineLeavesTheMatrixUnchanged)
+{
+    Aig aig;
+    const AigEdge f = xorChain(aig, 4000);
+    ElimLimits limits;
+    limits.deadline = expiredDeadline();
+    ElimStats stats;
+    ElimKernel kernel(aig, f, limits, nullptr, stats);
+    EXPECT_EQ(kernel.eliminateExists(0), SolveResult::Timeout);
+    EXPECT_EQ(kernel.matrix(), f);
+    EXPECT_EQ(kernel.eliminateForall(0), SolveResult::Timeout);
+    EXPECT_EQ(kernel.matrix(), f);
+}
+
 } // namespace
 } // namespace hqs

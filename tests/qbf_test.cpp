@@ -4,10 +4,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <unordered_map>
 #include <vector>
 
 #include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
+#include "src/circuit/families.hpp"
+#include "src/circuit/tseitin.hpp"
 #include "src/qbf/aig_qbf_solver.hpp"
 #include "src/qbf/bdd_qbf_solver.hpp"
 #include "src/qbf/qbf_oracle.hpp"
@@ -255,6 +258,48 @@ TEST(AigQbfSolver, NodeLimitYieldsMemout)
     opts.fraig = false;
     const SolveResult r = solveElim(q, opts);
     EXPECT_TRUE(r == SolveResult::Memout || isConclusive(r));
+}
+
+/// forall inputs exists Tseitin auxiliaries: two copies of a @p width-bit
+/// adder with equal outputs (an equivalence-checking miter).  One
+/// ∃-elimination on its AIG rebuilds cones of many thousand nodes.
+QbfProblem adderMiter(unsigned width)
+{
+    const PecInstance ref = makeInstance(Family::Adder, width, true);
+    QbfProblem q;
+    std::unordered_map<Circuit::NodeId, Var> fixed;
+    std::vector<Var> inputs;
+    for (Circuit::NodeId in : ref.spec.inputs()) {
+        inputs.push_back(q.matrix.newVar());
+        fixed.emplace(in, inputs.back());
+    }
+    auto fresh = [&q]() { return q.matrix.newVar(); };
+    const std::vector<Var> va = tseitinEncode(ref.spec, q.matrix, fixed, fresh);
+    const std::vector<Var> vb = tseitinEncode(ref.spec, q.matrix, fixed, fresh);
+    for (Circuit::NodeId out : ref.spec.outputs()) {
+        q.matrix.addClause({Lit::neg(va[out]), Lit::pos(vb[out])});
+        q.matrix.addClause({Lit::pos(va[out]), Lit::neg(vb[out])});
+    }
+    q.prefix.addBlock(QuantKind::Forall, inputs);
+    std::vector<Var> aux;
+    for (Var v = 0; v < q.matrix.numVars(); ++v) {
+        if (std::find(inputs.begin(), inputs.end(), v) == inputs.end()) aux.push_back(v);
+    }
+    q.prefix.addBlock(QuantKind::Exists, aux);
+    return q;
+}
+
+TEST(AigQbfSolver, DeadlineHoldsInsideOneLargeElimination)
+{
+    // The cofactor rebuild polls the deadline, so a single elimination on a
+    // large cone cannot carry the solve far past its budget.
+    const QbfProblem q = adderMiter(8);
+    AigQbfOptions opts;
+    opts.deadline = Deadline::in(0.3);
+    Timer t;
+    const SolveResult r = solveElim(q, opts);
+    EXPECT_LT(t.elapsedSeconds(), 0.3 + 0.15) << toString(r);
+    EXPECT_TRUE(r == SolveResult::Timeout || r == SolveResult::Sat) << toString(r);
 }
 
 // ----- Randomized agreement: AIG elimination vs BDD elimination vs oracle ---

@@ -138,22 +138,26 @@ TEST(UnitPure, PaperExample4MixedClauseSet)
 
 TEST(UnitPure, SyntacticCheckIsIncompleteLikeExample4)
 {
-    // f = y & (~y | x) == y & x.  Semantically y is positive pure (and
-    // unit); the parity check sees an odd path through ~y and misses the
-    // purity, while the clean direct path still yields positive unit.
-    // This mirrors the incompleteness the paper demonstrates in Example 4.
+    // The paper's shape y & (~y | x) no longer reaches the check: mkAnd's
+    // two-level substitution rule folds it to y & x.
     Aig aig;
     const AigEdge y = aig.variable(0);
     const AigEdge x = aig.variable(1);
-    const AigEdge f = aig.mkAnd(y, aig.mkOr(~y, x));
+    const AigEdge z = aig.variable(2);
+    EXPECT_EQ(aig.mkAnd(y, aig.mkOr(~y, x)), aig.mkAnd(y, x));
+    // f = y & (z | (~y & x)) == y & z hides ~y one level deeper than the
+    // rules look.  Semantically y is positive pure (and unit); the parity
+    // check sees an odd path through ~y and misses the purity, while the
+    // clean direct path still yields positive unit.  This mirrors the
+    // incompleteness the paper demonstrates in Example 4.
+    const AigEdge f = aig.mkAnd(y, aig.mkOr(z, aig.mkAnd(~y, x)));
     const UnitPureInfo info = aig.detectUnitPure(f);
     EXPECT_TRUE(contains(info.posUnit, 0));
     EXPECT_FALSE(contains(info.posPure, 0)); // missed although semantically pure
     // Semantic confirmation that y *is* positive pure: f[0/y] & ~f[1/y] == 0.
-    Aig check;
-    const std::uint64_t c0 = truthTable(aig, aig.cofactor(f, 0, false), 2);
-    const std::uint64_t c1 = truthTable(aig, aig.cofactor(f, 0, true), 2);
-    EXPECT_EQ(c0 & ~c1 & 0xf, 0u);
+    const std::uint64_t c0 = truthTable(aig, aig.cofactor(f, 0, false), 3);
+    const std::uint64_t c1 = truthTable(aig, aig.cofactor(f, 0, true), 3);
+    EXPECT_EQ(c0 & ~c1 & 0xff, 0u);
 }
 
 TEST(UnitPure, VariablesOutsideConeNotReported)
