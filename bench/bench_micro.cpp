@@ -2,7 +2,8 @@
 // and quantification, the dense strash hit path, Substitution-based
 // composition, mark-and-compact garbage collection, the Theorem-6
 // unit/pure traversal and the kernel's batched unit/pure pass, FRAIG sweeping, the CDCL SAT solver, the partial
-// MaxSAT selection, the end-to-end PEC encoding, and the disarmed cost of
+// MaxSAT selection, the end-to-end PEC encoding, the request front half
+// (DQDIMACS parse, canonical key, formula hash), and the disarmed cost of
 // the fault/observability hooks.
 //
 //   bench_micro [--json=FILE] [google-benchmark flags]
@@ -23,6 +24,9 @@
 #include "src/aig/fraig.hpp"
 #include "src/base/fault.hpp"
 #include "src/base/rng.hpp"
+#include "src/cache/canonical.hpp"
+#include "src/cert/certificate.hpp"
+#include "src/cnf/dimacs.hpp"
 #include "src/dqbf/dependency_graph.hpp"
 #include "src/dqbf/hqs_solver.hpp"
 #include "src/obs/obs.hpp"
@@ -248,6 +252,44 @@ void BM_PecEncode(benchmark::State& state)
     }
 }
 BENCHMARK(BM_PecEncode)->Arg(8)->Arg(16)->Arg(32);
+
+/// DQDIMACS text of a small (pec_xor w4, ~0.7 KB; range 0) or a large
+/// (c432 w4, ~12 KB; range 1) PEC instance: what a service request carries.
+std::string pecRequestText(benchmark::State& state)
+{
+    const bool large = state.range(0) != 0;
+    state.SetLabel(large ? "c432_w4_sat" : "pec_xor_w4_sat");
+    const PecInstance inst = makeInstance(large ? Family::C432 : Family::PecXor, 4, true);
+    return toDqdimacsString(encodePec(inst).formula.toParsed());
+}
+
+void BM_ParseDqdimacs(benchmark::State& state)
+{
+    const std::string text = pecRequestText(state);
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(parseDqdimacsString(text));
+    }
+    state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(text.size()));
+}
+BENCHMARK(BM_ParseDqdimacs)->Arg(0)->Arg(1);
+
+void BM_CanonicalKey(benchmark::State& state)
+{
+    const ParsedQdimacs parsed = parseDqdimacsString(pecRequestText(state));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cache::canonicalKey(parsed));
+    }
+}
+BENCHMARK(BM_CanonicalKey)->Arg(0)->Arg(1);
+
+void BM_FormulaHash(benchmark::State& state)
+{
+    const ParsedQdimacs parsed = parseDqdimacsString(pecRequestText(state));
+    for (auto _ : state) {
+        benchmark::DoNotOptimize(cert::formulaHash(parsed));
+    }
+}
+BENCHMARK(BM_FormulaHash)->Arg(0)->Arg(1);
 
 void BM_FaultCheckpointDisarmed(benchmark::State& state)
 {

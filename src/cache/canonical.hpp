@@ -33,6 +33,10 @@
 
 #include "src/cnf/dimacs.hpp"
 
+namespace hqs::cert {
+struct NormalizedPrefix;
+}
+
 namespace hqs::cache {
 
 /// 128-bit content hash of a canonical form.
@@ -59,9 +63,13 @@ struct CanonicalForm {
 
 /// Canonicalize @p parsed and hash the rendered form.
 CanonicalForm canonicalize(const ParsedQdimacs& parsed);
+/// The same, over @p prefix = cert::normalizePrefix(parsed) computed once by
+/// a caller that also needs it for cert::formulaHash.
+CanonicalForm canonicalize(const ParsedQdimacs& parsed, const cert::NormalizedPrefix& prefix);
 
 /// canonicalize(parsed).key without keeping the text.
 CanonicalKey canonicalKey(const ParsedQdimacs& parsed);
+CanonicalKey canonicalKey(const ParsedQdimacs& parsed, const cert::NormalizedPrefix& prefix);
 
 } // namespace hqs::cache
 

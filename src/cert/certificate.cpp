@@ -48,7 +48,7 @@ std::string hex16(std::uint64_t h)
 NormalizedPrefix normalizePrefix(const ParsedQdimacs& parsed)
 {
     NormalizedPrefix out;
-    std::vector<std::uint8_t> kind;
+    std::vector<std::uint8_t> kind(parsed.matrix.numVars(), kKindNone);
     auto kindOf = [&](Var v) -> std::uint8_t {
         return v < kind.size() ? kind[v] : kKindNone;
     };
@@ -59,7 +59,7 @@ NormalizedPrefix normalizePrefix(const ParsedQdimacs& parsed)
     auto addExistential = [&](Var v, std::vector<Var> deps) {
         if (kindOf(v) != kKindNone) return; // first declaration wins
         setKind(v, kKindExistential);
-        std::sort(deps.begin(), deps.end());
+        if (!std::is_sorted(deps.begin(), deps.end())) std::sort(deps.begin(), deps.end());
         deps.erase(std::unique(deps.begin(), deps.end()), deps.end());
         out.existentials.push_back(v);
         out.deps.push_back(std::move(deps));
@@ -88,7 +88,11 @@ NormalizedPrefix normalizePrefix(const ParsedQdimacs& parsed)
 
 std::uint64_t formulaHash(const ParsedQdimacs& parsed)
 {
-    const NormalizedPrefix p = normalizePrefix(parsed);
+    return formulaHash(parsed, normalizePrefix(parsed));
+}
+
+std::uint64_t formulaHash(const ParsedQdimacs& parsed, const NormalizedPrefix& p)
+{
     Fnv1a h;
     h.tag('U');
     h.word(p.universals.size());

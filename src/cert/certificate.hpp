@@ -57,6 +57,9 @@ NormalizedPrefix normalizePrefix(const ParsedQdimacs& parsed);
 /// Order-independent 64-bit FNV-1a hash of the normalized prefix and the
 /// matrix, binding a certificate to one formula.
 std::uint64_t formulaHash(const ParsedQdimacs& parsed);
+/// The same, over @p prefix = normalizePrefix(parsed) computed once by a
+/// caller that also needs it for cache::canonicalKey.
+std::uint64_t formulaHash(const ParsedQdimacs& parsed, const NormalizedPrefix& prefix);
 
 /// An in-memory certificate.  `functions` are edges into `aig` over the
 /// formula's variable numbering, one per normalized existential, in order.

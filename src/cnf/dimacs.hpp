@@ -50,13 +50,19 @@ struct ParsedQdimacs {
     std::vector<DependencySpec> henkin;
 };
 
-/// Parse DIMACS / QDIMACS / DQDIMACS from a stream.  Throws ParseError on
-/// malformed input.
+/// Parse DIMACS / QDIMACS / DQDIMACS.  Throws ParseError on malformed
+/// input.  One reader serves all three entry points: it scans the text in
+/// place in a single pass, the string overload over the caller's string,
+/// the stream and file overloads over the rest of the stream read into one
+/// string first.  Tokens are whitespace-separated (the C-locale set of
+/// `istream >> string`), a line whose first byte is `c` is a comment, and
+/// integers read exactly as std::stol reads them, error texts included.
 ParsedQdimacs parseDqdimacs(std::istream& in);
 ParsedQdimacs parseDqdimacsFile(const std::string& path);
 ParsedQdimacs parseDqdimacsString(const std::string& text);
 
-/// Write in DQDIMACS syntax (plain DIMACS when there is no prefix).
+/// Render in DQDIMACS syntax (plain DIMACS when there is no prefix);
+/// writeDqdimacs writes toDqdimacsString's text to @p os.
 void writeDqdimacs(std::ostream& os, const ParsedQdimacs& f);
 std::string toDqdimacsString(const ParsedQdimacs& f);
 

@@ -633,8 +633,9 @@ std::vector<BatchJobResult> BatchScheduler::run(const std::vector<std::string>& 
             if (viaSession[i]) continue;
             try {
                 const ParsedQdimacs parsed = parseInstanceFile(files[i]);
-                scan[i].key = cache::canonicalKey(parsed);
-                scan[i].certHash = cert::formulaHash(parsed);
+                const cert::NormalizedPrefix prefix = cert::normalizePrefix(parsed);
+                scan[i].key = cache::canonicalKey(parsed, prefix);
+                scan[i].certHash = cert::formulaHash(parsed, prefix);
                 scan[i].parsed = true;
             } catch (const std::exception&) {
                 continue;

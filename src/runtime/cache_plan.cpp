@@ -10,7 +10,9 @@ namespace hqs::api {
 
 void CachePlan::keyBy(const ParsedQdimacs& parsed)
 {
-    if (active()) keyBy(cache::canonicalKey(parsed), cert::formulaHash(parsed));
+    if (!active()) return;
+    const cert::NormalizedPrefix prefix = cert::normalizePrefix(parsed);
+    keyBy(cache::canonicalKey(parsed, prefix), cert::formulaHash(parsed, prefix));
 }
 
 void CachePlan::keyBy(const cache::CanonicalKey& k, std::uint64_t hash)

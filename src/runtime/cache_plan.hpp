@@ -32,8 +32,8 @@ struct CachePlan {
 
     bool active() const { return read || write; }
 
-    /// One canonicalKey and one formulaHash of @p parsed; no-op when the
-    /// plan neither reads nor writes.
+    /// One canonicalKey and one formulaHash of @p parsed over one
+    /// normalized prefix; no-op when the plan neither reads nor writes.
     void keyBy(const ParsedQdimacs& parsed);
     /// Key by an already computed key and formula hash.
     void keyBy(const cache::CanonicalKey& k, std::uint64_t hash);

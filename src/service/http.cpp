@@ -241,35 +241,38 @@ bool jsonStringField(const std::string& obj, const std::string& key, std::string
     if (start == std::string::npos) return false;
     out.clear();
     std::size_t i = start + needle.size();
+    // The value decodes to at most its escaped length.
+    std::size_t close = i;
+    while (close < obj.size() && obj[close] != '"') close += obj[close] == '\\' ? 2 : 1;
+    out.reserve(std::min(close, obj.size()) - i);
     while (i < obj.size()) {
-        const char c = obj[i];
-        if (c == '"') return true;
-        if (c == '\\') {
-            if (i + 1 >= obj.size()) return false;
-            const char esc = obj[i + 1];
-            switch (esc) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case 'n': out.push_back('\n'); break;
-                case 'r': out.push_back('\r'); break;
-                case 't': out.push_back('\t'); break;
-                case 'u': {
-                    // Only \u00XX is ever produced by jsonEscape.
-                    if (i + 5 >= obj.size()) return false;
-                    const std::string hex = obj.substr(i + 2, 4);
-                    char* end = nullptr;
-                    out.push_back(static_cast<char>(std::strtoul(hex.c_str(), &end, 16)));
-                    if (end != hex.c_str() + hex.size()) return false;
-                    i += 4;
-                    break;
-                }
-                default: return false;
+        // Copy the run up to the next quote or backslash in one append.
+        std::size_t runEnd = i;
+        while (runEnd < obj.size() && obj[runEnd] != '"' && obj[runEnd] != '\\') ++runEnd;
+        out.append(obj, i, runEnd - i);
+        i = runEnd;
+        if (i == obj.size()) break;
+        if (obj[i] == '"') return true;
+        if (i + 1 >= obj.size()) return false;
+        switch (obj[i + 1]) {
+            case '"': out.push_back('"'); break;
+            case '\\': out.push_back('\\'); break;
+            case 'n': out.push_back('\n'); break;
+            case 'r': out.push_back('\r'); break;
+            case 't': out.push_back('\t'); break;
+            case 'u': {
+                // Only \u00XX is ever produced by jsonEscape.
+                if (i + 5 >= obj.size()) return false;
+                const std::string hex = obj.substr(i + 2, 4);
+                char* end = nullptr;
+                out.push_back(static_cast<char>(std::strtoul(hex.c_str(), &end, 16)));
+                if (end != hex.c_str() + hex.size()) return false;
+                i += 4;
+                break;
             }
-            i += 2;
-        } else {
-            out.push_back(c);
-            ++i;
+            default: return false;
         }
+        i += 2;
     }
     return false; // unterminated string
 }

@@ -22,17 +22,20 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "src/base/fault.hpp"
+#include "src/base/rng.hpp"
 #include "src/cache/canonical.hpp"
 #include "src/cache/result_cache.hpp"
 #include "src/cert/certificate.hpp"
 #include "src/cnf/dimacs.hpp"
 #include "src/obs/obs.hpp"
+#include "src/pec/pec_encoder.hpp"
 #include "src/runtime/batch.hpp"
 #include "src/runtime/cache_plan.hpp"
 #include "src/runtime/portfolio.hpp"
@@ -263,6 +266,200 @@ TEST(Canonical, FormRecordsShape)
     EXPECT_EQ(form.numClauses, 4u);
     EXPECT_FALSE(form.text.empty());
     EXPECT_EQ(form.key, keyOf(kBaseFormula));
+}
+
+// --- golden keys and hashes ------------------------------------------------
+//
+// Persisted cache entries are named toHex(canonicalKey) and shared by every
+// process on a cache directory; certificates embed formulaHash and
+// dqbf_check recomputes it.  Both must therefore stay bit-identical across
+// rewrites of the reader, canonicalize and the hash.  The values below were
+// recorded from the implementation that first shipped these formats; a
+// mismatch means old cache directories go cold or old certificates stop
+// checking, never a harmless refactor.
+
+namespace {
+
+struct GoldenKey {
+    const char* name;
+    const char* keyHex;
+    std::uint64_t formulaHash;
+};
+
+void expectGolden(const GoldenKey& g, const ParsedQdimacs& parsed)
+{
+    EXPECT_EQ(cache::toHex(cache::canonicalKey(parsed)), g.keyHex) << g.name;
+    EXPECT_EQ(cert::formulaHash(parsed), g.formulaHash) << g.name;
+    const cache::CanonicalForm form = cache::canonicalize(parsed);
+    EXPECT_EQ(cache::toHex(form.key), g.keyHex) << g.name;
+    // The overloads that share one normalized prefix agree bit for bit.
+    const cert::NormalizedPrefix prefix = cert::normalizePrefix(parsed);
+    EXPECT_EQ(cache::toHex(cache::canonicalKey(parsed, prefix)), g.keyHex) << g.name;
+    EXPECT_EQ(cert::formulaHash(parsed, prefix), g.formulaHash) << g.name;
+}
+
+/// A seeded random DQDIMACS text: `a`/`e` blocks, `d` lines over the
+/// universals, a redeclared variable, free matrix variables, duplicate and
+/// tautological clauses, empty clauses, comments, a wrong header count.
+/// Variable k is written as k * @p stride.
+std::string randomDqbfText(std::uint64_t seed, unsigned stride = 1)
+{
+    Rng rng(seed);
+    const unsigned nv = 3 + static_cast<unsigned>(rng.below(30));
+    std::vector<unsigned> vars;
+    for (unsigned v = 1; v <= nv; ++v) vars.push_back(v * stride);
+    for (std::size_t i = vars.size(); i > 1; --i) std::swap(vars[i - 1], vars[rng.below(i)]);
+    std::string t = "c seed " + std::to_string(seed) + "\np cnf " + std::to_string(nv * stride) + " " +
+                    std::to_string(rng.below(20)) + "\n";
+    std::size_t next = 0;
+    std::vector<unsigned> universals;
+    const auto line = [&](char tag, std::size_t count) {
+        t += tag;
+        for (std::size_t k = 0; k < count && next < vars.size(); ++k) {
+            t += ' ' + std::to_string(vars[next]);
+            if (tag == 'a') universals.push_back(vars[next]);
+            ++next;
+        }
+        t += " 0\n";
+    };
+    for (int b = 0, blocks = static_cast<int>(rng.below(4)); b < blocks; ++b)
+        line(rng.flip() ? 'a' : 'e', 1 + rng.below(3));
+    for (int d = 0, lines = static_cast<int>(rng.below(4)); d < lines && next < vars.size(); ++d) {
+        t += "d " + std::to_string(vars[next++]);
+        for (unsigned u : universals)
+            if (rng.flip()) t += ' ' + std::to_string(u);
+        t += " 0\n";
+    }
+    if (rng.below(4) == 0) t += "d " + std::to_string(vars[0]) + " 0\n"; // redeclared: first wins
+    if (rng.below(4) == 0) t += "c between prefix and matrix\n";
+    for (int c = 0, clauses = 1 + static_cast<int>(rng.below(3 * nv)); c < clauses; ++c) {
+        const std::size_t width = rng.below(10) == 0 ? 0 : 1 + rng.below(5);
+        for (std::size_t k = 0; k < width; ++k) {
+            const long v = (1 + static_cast<long>(rng.below(nv))) * stride;
+            t += std::to_string(rng.flip() ? -v : v) + ' ';
+        }
+        t += "0\n";
+    }
+    return t;
+}
+
+
+} // namespace
+
+TEST(CanonicalGolden, SampleFilesKeepTheirKeysAndHashes)
+{
+    namespace fs = std::filesystem;
+    const GoldenKey golden[] = {
+        {"example1_sat.dqdimacs", "dac743c28cf48a9e22876eb9ee58edfb", 0x219e9eb9acaefdbfull},
+        {"example1_unsat.dqdimacs", "4e711e4276cc9021794c035b0310338c", 0x9b65a04644c2fbdeull},
+        {"qbf_2alt_sat.qdimacs", "c36093f184938b40f7560f984a2551d9", 0x658e4f2ae288309eull},
+        {"qbf_unsat.qdimacs", "756c2514182645ce57cd48550b5d356f", 0xb1f1abce79c0fcffull},
+        {"exec/wide23_sat.dqdimacs", "52869a94893e5ac4d1ec16316e116d45", 0x8207028fd3299833ull},
+    };
+    for (const GoldenKey& g : golden)
+        expectGolden(g, parseDqdimacsFile(std::string(HQS_TEST_DATA_DIR) + "/" + g.name));
+    // Every sample formula in the data directory has a row above.
+    std::size_t samples = 0;
+    for (const char* sub : {"", "exec"})
+        for (const auto& e : fs::directory_iterator(fs::path(HQS_TEST_DATA_DIR) / sub))
+            if (e.path().extension() == ".dqdimacs" || e.path().extension() == ".qdimacs")
+                ++samples;
+    EXPECT_EQ(samples, std::size(golden));
+}
+
+TEST(CanonicalGolden, PecTextsKeepTheirKeysAndHashes)
+{
+    const GoldenKey golden[] = {
+        {"pec_xor_w4_sat", "3682767a0268c48622e26190a8b51535", 0x263b0addf6e60beaull},
+        {"c432_w4_sat", "91f54b384b6386df1e965a4c80976942", 0xe2cf02cce8b6f947ull},
+    };
+    const Family families[] = {Family::PecXor, Family::C432};
+    for (std::size_t i = 0; i < std::size(golden); ++i) {
+        const std::string text =
+            toDqdimacsString(encodePec(makeInstance(families[i], 4, true)).formula.toParsed());
+        expectGolden(golden[i], parseDqdimacsString(text));
+    }
+}
+
+TEST(CanonicalGolden, SeededRandomDqbfsKeepTheirKeysAndHashes)
+{
+    const GoldenKey golden[] = {
+        {"1", "22ed5b71f0e429d5bebd3b8c51394280", 0x9c006e07e7a2eb80ull},
+        {"2", "749ad4475bcae5efea2db93d2811d4dc", 0x88577a673cedbb5eull},
+        {"3", "c6c52751d80aaa8df142369f10432910", 0x912b598990b5d32bull},
+        {"4", "b54f7517083f4fa2b0d1cbd95d8609a1", 0x3138c74222fce99dull},
+        {"5", "1ccc55664fe47dfd320a0aca67dcb09a", 0x5fd13e69f70ef31dull},
+        {"6", "fe91602c5a2b08a422859aa1903ab817", 0xde7d56a4911c9871ull},
+        {"7", "6e57540c58fe7110e8d87afd4e25b3cb", 0x1bc8b1cffb1c7dcfull},
+        {"8", "41b95fe4f7d6da9b68640508641e03ce", 0x7b63489b5141f8b1ull},
+        {"9", "71f46a1649028c7bb272d0c1101e3df2", 0x4631172b179ece43ull},
+        {"10", "bae8daf1517f42c3de314899ff557a28", 0x39181e968c11953aull},
+        {"11", "9e13ced84e49dc52f5012d0eab3e759d", 0x5aa6d9e33175d4c0ull},
+        {"12", "92de70cfe3324d079f9c2850f6580f26", 0x225f62caac5b848cull},
+        {"13", "2695c24276f06dfce6540761d5dbfdd1", 0xd4de43ab476f27fdull},
+        {"14", "5322830412b22c7492afcf771018a00d", 0xa9b1ced637efad56ull},
+        {"15", "e8c1532e3d614c14e85862a951ed6e19", 0x3d2d2820503c13d5ull},
+        {"16", "50ffc576b3c370a4daaed9b6e992cb01", 0xa9bb9a9abb83077dull},
+        {"17", "8df99094928a5ed54478a0b2e4ebd0ca", 0x8a7d0083ffc365a8ull},
+        {"18", "8a0f7cac5733751959bf295c02f977e0", 0x5cf8796160e69026ull},
+        {"19", "a05159bf0d59c8b8cbac4ae1561ca643", 0xed8ab9b0a4590e88ull},
+        {"20", "41170188817a08f479794a9173a45bb1", 0x5ab9b4f341e4c994ull},
+        {"21", "a5a16cf1ea0c083aa693d5b5e1288f33", 0x77310210968cf9c5ull},
+        {"22", "ffd32767b4cb4d6dec7c54f85ee16078", 0x44800830fc89b6f5ull},
+        {"23", "894bc991650f7ce3e20753926ee31f9a", 0x2258480aae76651dull},
+        {"24", "156779899825fb3973418b1ff14710f0", 0x34701d27c0731a37ull},
+        {"25", "b49650b11c499d5bf0eaac631d1d2f74", 0xd9602ebb9c8ddda7ull},
+        {"26", "2a0a797221285ee9dfe1af49197dc590", 0xf1ebcd7b06796148ull},
+        {"27", "61b0be3345643cfae15494f9bb27a6d5", 0x28e4e15e1d781818ull},
+        {"28", "1409082e4d19bab77cf5344276cf2b6c", 0x4e7d6bc887e1205aull},
+        {"29", "a094b1602e0808068d6fc9e358680775", 0x3167f735307ee07full},
+        {"30", "3e1240b6f45fd3381b39d1224ebb7897", 0xf97984cf8dfc0118ull},
+        {"31", "447d90586d8607f051c6ea5ab31396c1", 0xd8c7403aa6e7e621ull},
+        {"32", "c37bd76a1a3bd785e25d2dc13bc85508", 0xc672fb0eff9415e2ull},
+        {"33", "3407dcbf99e6a05fb44a6042b91c1c16", 0xca525f6d464cee50ull},
+        {"34", "5d04496f087e30d59e0143ad9ca0464a", 0xf64756ba53c752bbull},
+        {"35", "27ec22b06118189a52d437081e29fc1f", 0xeff016a807413843ull},
+        {"36", "714309a92d7d508700f6dfef8777a812", 0x695d60a88ff1edacull},
+        {"37", "e8afe4d921de0ffc0fc3b0f785dd46b3", 0xd058e5d1e00eb839ull},
+        {"38", "2b6b04e77722c0c3608bab34975d87f8", 0x0fc646401fb59e66ull},
+        {"39", "bfcfe5b271aa0b641d17645abff2c68d", 0x233f302ce5d7d434ull},
+        {"40", "53fd8761f7f7fdfc366af04e438df31f", 0x20b76dd3d671fbd8ull},
+        {"41", "e2702ad093c5bb26eacfb87dfafaa01d", 0x01f9b1945bee7c13ull},
+        {"42", "65077a1ff63a5583fc1095fdd8ff8536", 0x3cfd889bda975954ull},
+        {"43", "7bbc44d1634a8cc3f3bf0ac4cb38b056", 0x05b0d68246f8cdcbull},
+        {"44", "7ec51054898f0414524b0fe6dc6b0fb3", 0x47f3f1946bec3260ull},
+        {"45", "33f377076a2cf8b646fa6e81a2838411", 0x80460c94f90f6b97ull},
+        {"46", "653a6ced9f92a72d5c2c6284d479160c", 0xdd3dbe9598e59443ull},
+        {"47", "1f4ebb04246845079011f5f60ed58b06", 0x2acdea19c952aa77ull},
+        {"48", "906d58bc46955dac88c356b7b1ef7763", 0xf34d560e8368cca6ull},
+        {"49", "844e4c24b45af37f3981245bd2baf9ae", 0x991b03e2a794801bull},
+        {"50", "4fe079a731c866eeb5866a9f9b6e7899", 0x907b29b5647c9597ull},
+    };
+    for (const GoldenKey& g : golden)
+        expectGolden(g, parseDqdimacsString(randomDqbfText(std::stoull(g.name))));
+}
+
+// The same generator with every variable number multiplied by 157: sparse
+// numbering over thousands of variables, so dependency sets span many
+// words of canonicalize's bitmap and multi-digit numbers render.
+TEST(CanonicalGolden, SparselyNumberedRandomDqbfsKeepTheirKeysAndHashes)
+{
+    const GoldenKey golden[] = {
+        {"1", "a8e373ff19deb3c539d0075dbcf4ceb2", 0x5ea8d7fa23af633full},
+        {"2", "edb27122c96d885dded7212c35bc2c60", 0xeaa42412ca11f07cull},
+        {"3", "031b8f2e676973154e97a32a67eac252", 0x671730c711abaa29ull},
+        {"4", "4cd862bac590818be04712bdbb157152", 0xc7801fd325fb6c04ull},
+        {"5", "c036ac682f850c6ff83a396581501ed8", 0xb7fa330115caf77aull},
+        {"6", "595df4f3fcf405b27af4c9bd69c84659", 0x98400be01bcdb7fcull},
+        {"7", "582d3e9bea244f61416d48309b109fbe", 0x31b65328a6bd3a26ull},
+        {"8", "91e98bf049215317dd9694aed8877a0c", 0xdc4cf022cc45ec60ull},
+        {"9", "ccc7424a8cefab899b3d1a82558b998c", 0x66419b2941e6eca9ull},
+        {"10", "6ab1618b56fe2e0d41e4d3e5a346b3d2", 0x4bf6402d74f41b43ull},
+        {"11", "9ef2aed27907d0afab5cc90b6f7f98d4", 0xc0856b8dbdbb4b40ull},
+        {"12", "45bbe0ddb9f9ffd41b085efdc55a091b", 0x9db041054ff2f8a3ull},
+    };
+    for (const GoldenKey& g : golden)
+        expectGolden(g, parseDqdimacsString(randomDqbfText(std::stoull(g.name), 157)));
 }
 
 // --- in-memory shard --------------------------------------------------------

@@ -181,6 +181,30 @@ TEST(ServiceHttp, JsonlRowRoundTrip)
     EXPECT_EQ(timeoutMs, 250);
 }
 
+TEST(ServiceHttp, JsonStringFieldRoundTripsEveryByteAndRejectsBrokenStrings)
+{
+    std::string every;
+    for (int b = 0x01; b <= 0xff; ++b) every.push_back(static_cast<char>(b));
+    const std::string obj = "{\"id\":\"x\",\"formula\":\"" + jsonEscape(every) + "\"}";
+    std::string out = "stale";
+    ASSERT_TRUE(jsonStringField(obj, "formula", out));
+    EXPECT_EQ(out, every);
+
+    // \u00XX escapes decode to their byte, between and around plain runs.
+    ASSERT_TRUE(jsonStringField(R"({"f":"\u0041b\u00ffc\u001f\\\"\n\r\t"})", "f", out));
+    EXPECT_EQ(out, "Ab\xff" "c\x1f\\\"\n\r\t");
+    ASSERT_TRUE(jsonStringField(R"({"f":""})", "f", out));
+    EXPECT_EQ(out, "");
+
+    EXPECT_FALSE(jsonStringField(R"({"g":"x"})", "f", out));       // absent
+    EXPECT_FALSE(jsonStringField(R"({"f":"abc)", "f", out));        // unterminated
+    EXPECT_FALSE(jsonStringField(R"({"f":"abc\)", "f", out));       // truncated escape
+    EXPECT_FALSE(jsonStringField(R"({"f":"a\u00)", "f", out));      // truncated \u
+    EXPECT_FALSE(jsonStringField(R"({"f":"a\u0041)", "f", out));    // \u then end
+    EXPECT_FALSE(jsonStringField(R"({"f":"a\u00zz"})", "f", out));  // bad hex
+    EXPECT_FALSE(jsonStringField(R"({"f":"a\x41"})", "f", out));    // unknown escape
+}
+
 // --- loopback round trips ---------------------------------------------------
 
 TEST(ServiceLoopback, HttpSolveRoundTrip)
