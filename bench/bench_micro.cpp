@@ -203,6 +203,32 @@ void BM_FraigReduce(benchmark::State& state)
 }
 BENCHMARK(BM_FraigReduce)->Arg(500)->Arg(2000);
 
+void BM_FraigReduceOverCap(benchmark::State& state)
+{
+    // An OR of arg conjunctions of 12 literals over 40 variables: each
+    // looks constant false to 256 simulation patterns, so the sweep spends
+    // its 1000-query cap refuting the lowest ones and only rebuilds the
+    // rest, as the near-budget sweeps of large pec_sweep cones do.
+    FraigStats stats;
+    for (auto _ : state) {
+        state.PauseTiming();
+        Aig aig;
+        Rng rng(43);
+        AigEdge root = aig.constFalse();
+        for (std::int64_t t = 0; t < state.range(0); ++t) {
+            AigEdge term = aig.constTrue();
+            for (int k = 0; k < 12; ++k)
+                term = aig.mkAnd(term, aig.variable(static_cast<Var>(rng.below(40))) ^ rng.flip());
+            root = aig.mkOr(root, term);
+        }
+        stats = {};
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(fraigReduce(aig, root, {}, &stats));
+    }
+    state.counters["queries"] = static_cast<double>(stats.candidates);
+}
+BENCHMARK(BM_FraigReduceOverCap)->Arg(2000);
+
 void BM_SatRandom3Sat(benchmark::State& state)
 {
     const auto n = static_cast<Var>(state.range(0));

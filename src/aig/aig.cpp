@@ -198,7 +198,7 @@ AigEdge Aig::mkAndRaw(AigEdge a, AigEdge b)
     // an injection site for testing bad_alloc recovery (one relaxed atomic
     // load when no fault is armed).
     fault::checkpointAlloc("aig-alloc");
-    OBS_COUNT("aig.ands", 1);
+    ++stats_.ands;
     const auto idx = static_cast<std::uint32_t>(nodes_.size());
     Node n;
     n.fanin0 = a;
@@ -441,6 +441,7 @@ void Aig::publishKernelStats()
     stats_.peakAllocatedNodes = std::max<std::uint64_t>(stats_.peakAllocatedNodes, nodes_.size());
     const AigKernelStats& s = stats_;
     AigKernelStats& p = published_;
+    OBS_COUNT("aig.ands", static_cast<std::int64_t>(s.ands - p.ands));
     OBS_COUNT("aig.strash.probes", static_cast<std::int64_t>(s.strashProbes - p.strashProbes));
     OBS_COUNT("aig.strash.resizes", static_cast<std::int64_t>(s.strashResizes - p.strashResizes));
     OBS_COUNT("aig.rewrite.contradiction",

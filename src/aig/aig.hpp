@@ -17,6 +17,12 @@
 //     unit/pure walk) run on a manager-owned, generation-stamped
 //     TraversalCache — bumping the generation invalidates in O(1), so the
 //     hot paths do no per-call heap allocation;
+//   * a cone rebuild (substitute, cofactor, compose, the FRAIG sweep)
+//     keeps a node whose rebuilt fanins equal its own fanins without
+//     calling mkAnd.  This is exact: a node exists only because no rewrite
+//     rule fired on its fanin pair, whether a rule fires does not depend
+//     on operand order, and the strash holds every AND node, so mkAnd on
+//     that pair can only return the node itself;
 //   * there is no cross-call compose/cofactor cache: each elimination
 //     cofactors a fresh (variable, constant) pair, so entries would never
 //     repeat within a solve;
@@ -146,9 +152,11 @@ private:
 };
 
 /// Cumulative kernel instrumentation (monotonic over the manager's life).
-/// Mirrored into the obs registry as aig.strash.*, aig.rewrite.*, aig.gc.*
-/// and the aig.nodes.peak_* gauges by publishKernelStats()/garbageCollect.
+/// Mirrored into the obs registry as aig.ands, aig.strash.*, aig.rewrite.*,
+/// aig.gc.* and the aig.nodes.peak_* gauges by
+/// publishKernelStats()/garbageCollect.
 struct AigKernelStats {
+    std::uint64_t ands = 0;           ///< AND nodes allocated (strash misses)
     std::uint64_t strashProbes = 0;   ///< table slots inspected by mkAnd
     std::uint64_t strashResizes = 0;  ///< doublings of the strash table
     /// mkAnd calls settled by each two-level rewriting rule (a substitution
@@ -263,7 +271,7 @@ public:
     // ----- instrumentation --------------------------------------------------
     const AigKernelStats& kernelStats() const { return stats_; }
     /// Push the deltas since the last publish into the obs registry
-    /// (aig.strash.probes, aig.strash.resizes, the aig.rewrite.<rule>
+    /// (aig.ands, aig.strash.probes, aig.strash.resizes, the aig.rewrite.<rule>
     /// counters, aig.gc.runs, aig.gc.reclaimed
     /// and the aig.nodes.peak_live / aig.nodes.peak_alloc gauges).  Called by
     /// garbageCollect; call once more when a solve finishes.

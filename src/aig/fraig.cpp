@@ -31,57 +31,66 @@ std::uint64_t inputPattern(Var v, unsigned word, std::uint64_t seed)
     return z ^ (z >> 31);
 }
 
-/// Simulation signatures of a cone in one flat table of `words` words per
-/// node index, filled in ascending index order: fanins have lower indices.
-/// A node the sweep rebuilds computes its old node's function, so it is
-/// simulated through that old index.
+/// Simulation signatures of the cone nodes a sweep visits while it still
+/// proves: one row of `words` words per node, appended in ascending index
+/// order, so a node's fanins have their rows before it does.  A node the
+/// sweep rebuilds computes its old node's function, so it is simulated
+/// through that old index.  Row 0 is the constant false node's all-zero
+/// signature.
 class Signatures {
 public:
-    Signatures(const Aig& aig, const std::vector<std::uint8_t>& inCone, unsigned words,
-               std::uint64_t seed)
-        : words_(words), table_(inCone.size() * words, 0)
+    Signatures(unsigned words, std::uint64_t seed) : words_(words), seed_(seed), table_(words, 0)
     {
-        // Row 0 is the constant false node's all-zero signature.
-        for (std::uint32_t idx = 1; idx < inCone.size(); ++idx) {
-            if (!inCone[idx]) continue;
-            std::uint64_t* s = &table_[std::size_t{idx} * words_];
-            const AigEdge e(idx, false);
-            if (aig.isInput(e)) {
-                for (unsigned w = 0; w < words_; ++w)
-                    s[w] = inputPattern(aig.inputVariable(e), w, seed);
-                continue;
-            }
-            const AigEdge f0 = aig.fanin0(e);
-            const AigEdge f1 = aig.fanin1(e);
-            const std::uint64_t* s0 = row(f0.nodeIndex());
-            const std::uint64_t* s1 = row(f1.nodeIndex());
-            const std::uint64_t m0 = f0.complemented() ? ~0ull : 0;
-            const std::uint64_t m1 = f1.complemented() ? ~0ull : 0;
-            for (unsigned w = 0; w < words_; ++w) s[w] = (s0[w] ^ m0) & (s1[w] ^ m1);
-        }
     }
 
-    const std::uint64_t* row(std::uint32_t idx) const
+    /// Append the row of old node @p idx (an input or an AND whose fanins
+    /// have rows) and return its row number.
+    std::uint32_t add(const Aig& aig, std::uint32_t idx)
     {
-        return &table_[std::size_t{idx} * words_];
+        const auto r = static_cast<std::uint32_t>(table_.size() / words_);
+        if (rowOf_.size() <= idx) rowOf_.resize(std::size_t{idx} + 1, 0);
+        rowOf_[idx] = r;
+        table_.resize(table_.size() + words_);
+        std::uint64_t* s = &table_[std::size_t{r} * words_];
+        const AigEdge e(idx, false);
+        if (aig.isInput(e)) {
+            for (unsigned w = 0; w < words_; ++w)
+                s[w] = inputPattern(aig.inputVariable(e), w, seed_);
+            return r;
+        }
+        const AigEdge f0 = aig.fanin0(e);
+        const AigEdge f1 = aig.fanin1(e);
+        const std::uint64_t* s0 = row(rowOf_[f0.nodeIndex()]);
+        const std::uint64_t* s1 = row(rowOf_[f1.nodeIndex()]);
+        const std::uint64_t m0 = f0.complemented() ? ~0ull : 0;
+        const std::uint64_t m1 = f1.complemented() ? ~0ull : 0;
+        for (unsigned w = 0; w < words_; ++w) s[w] = (s0[w] ^ m0) & (s1[w] ^ m1);
+        return r;
     }
+
+    /// Rows added so far, the constant's included.
+    std::size_t rows() const { return table_.size() / words_; }
+    const std::uint64_t* row(std::uint32_t r) const { return &table_[std::size_t{r} * words_]; }
     unsigned words() const { return words_; }
 
 private:
     unsigned words_;
+    std::uint64_t seed_;
     std::vector<std::uint64_t> table_;
+    /// Old node index -> row number, grown to the highest index added.
+    std::vector<std::uint32_t> rowOf_;
 };
 
-/// An edge whose signature is row idx of the table, complemented when
+/// An edge whose signature is row `row` of the table, complemented when
 /// mask is all ones.
 struct SigRef {
-    std::uint32_t idx;
+    std::uint32_t row;
     std::uint64_t mask;
 };
 
 std::uint64_t hashSig(const Signatures& sigs, SigRef r)
 {
-    const std::uint64_t* s = sigs.row(r.idx);
+    const std::uint64_t* s = sigs.row(r.row);
     std::uint64_t h = 0xcbf29ce484222325ull;
     for (unsigned w = 0; w < sigs.words(); ++w) {
         h ^= s[w] ^ r.mask;
@@ -92,8 +101,8 @@ std::uint64_t hashSig(const Signatures& sigs, SigRef r)
 
 bool sameSig(const Signatures& sigs, SigRef a, SigRef b)
 {
-    const std::uint64_t* sa = sigs.row(a.idx);
-    const std::uint64_t* sb = sigs.row(b.idx);
+    const std::uint64_t* sa = sigs.row(a.row);
+    const std::uint64_t* sb = sigs.row(b.row);
     for (unsigned w = 0; w < sigs.words(); ++w) {
         if ((sa[w] ^ a.mask) != (sb[w] ^ b.mask)) return false;
     }
@@ -130,7 +139,7 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         inCone[aig.fanin1(e).nodeIndex()] = 1;
     }
 
-    Signatures sigs(aig, inCone, opts.simWords, opts.seed);
+    Signatures sigs(opts.simWords, opts.seed);
     SatSolver sat;
     AigCnfBridge bridge(aig, sat);
 
@@ -142,27 +151,38 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         SigRef sig;
     };
     std::unordered_map<std::uint64_t, std::vector<Rep>> buckets;
-    // The normalized form of an edge computing old node idx's function.
-    auto normalize = [&sigs](AigEdge e, std::uint32_t idx) {
-        return sigs.row(idx)[0] & 1ull ? Rep{~e, {idx, ~0ull}} : Rep{e, {idx, 0}};
+    // The normalized form of an edge whose signature is row @p row.
+    auto normalize = [&sigs](AigEdge e, std::uint32_t row) {
+        return sigs.row(row)[0] & 1ull ? Rep{~e, {row, ~0ull}} : Rep{e, {row, 0}};
     };
     auto registerRep = [&](const Rep& r) { buckets[hashSig(sigs, r.sig)].push_back(r); };
 
     // Seed the constant class so semantically constant nodes collapse.
     registerRep({aig.constFalse(), {0, 0}});
 
-    /// Try to merge @p e, which computes old node @p idx's function, into an
-    /// existing representative.  Returns the replacement edge, or e itself
-    /// when no representative matches.
-    auto tryMerge = [&](AigEdge e, std::uint32_t idx) -> AigEdge {
-        const Rep norm = normalize(e, idx);
+    // The sweep proves until it has issued maxQueries candidates or its
+    // deadline has expired, then stops for good: a node simulated and
+    // registered after that could never merge, nor let a later node merge
+    // into it, so the rest of the cone is a plain rebuild.
+    bool proving = true;
+    auto capReached = [&] {
+        return opts.maxQueries != 0 && st.candidates - before.candidates >= opts.maxQueries;
+    };
+
+    /// Try to merge @p e, whose signature is row @p row, into an existing
+    /// representative.  Returns the replacement edge, or e itself when no
+    /// representative matches.
+    auto tryMerge = [&](AigEdge e, std::uint32_t row) -> AigEdge {
+        const Rep norm = normalize(e, row);
         const bool flipped = (norm.edge != e);
         auto& bucket = buckets[hashSig(sigs, norm.sig)];
         for (const Rep& rep : bucket) {
             if (rep.edge == norm.edge) return e;              // already the representative
             if (!sameSig(sigs, rep.sig, norm.sig)) continue; // hash collision
-            if (opts.deadline.expired()) break;               // budget gone: stop proving
-            if (opts.maxQueries != 0 && st.candidates >= opts.maxQueries) break;
+            if (capReached() || opts.deadline.expired()) {
+                proving = false;
+                return e;
+            }
             ++st.candidates;
             const Lit a = bridge.litFor(norm.edge);
             const Lit b = bridge.litFor(rep.edge);
@@ -191,11 +211,9 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         return e;
     };
 
-    // Rebuild bottom-up with merging.  Signature computation alone is
-    // O(cone * simWords), so on huge cones we must notice an expired budget
-    // mid-sweep: once it is gone, keep rebuilding (cheap, and required to
-    // return a valid edge) but stop proving candidates.
-    bool proving = true;
+    // Rebuild bottom-up, simulating and merging while the sweep proves.  On
+    // huge cones an expired deadline must be noticed between queries too
+    // (every 256 nodes), since simulation alone is O(nodes * simWords).
     std::vector<AigEdge> rebuilt(rootIdx + 1, AigEdge());
     rebuilt[0] = aig.constFalse();
     for (std::uint32_t idx = 1; idx <= rootIdx; ++idx) {
@@ -205,7 +223,7 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         if (aig.isInput(e)) {
             // Register inputs as representatives (a cone can collapse to a
             // projection), but never merge one input into another.
-            registerRep(normalize(e, idx));
+            if (proving) registerRep(normalize(e, sigs.add(aig, idx)));
             rebuilt[idx] = e;
             continue;
         }
@@ -213,8 +231,13 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
         const AigEdge f1 = aig.fanin1(e);
         const AigEdge a = rebuilt[f0.nodeIndex()] ^ f0.complemented();
         const AigEdge b = rebuilt[f1.nodeIndex()] ^ f1.complemented();
-        AigEdge merged = aig.mkAnd(a, b);
-        if (proving && !aig.isConstant(merged)) merged = tryMerge(merged, idx);
+        // Unchanged fanins: the node is its own image (see aig.hpp).
+        AigEdge merged = a == f0 && b == f1 ? e : aig.mkAnd(a, b);
+        if (proving) {
+            const std::uint32_t row = sigs.add(aig, idx);
+            if (!aig.isConstant(merged)) merged = tryMerge(merged, row);
+            if (capReached()) proving = false;
+        }
         rebuilt[idx] = merged;
     }
     const AigEdge result = rebuilt[rootIdx] ^ root.complemented();
@@ -228,8 +251,11 @@ AigEdge fraigReduce(Aig& aig, AigEdge root, const FraigOptions& opts, FraigStats
             static_cast<std::int64_t>((coneBefore - coneAfter) * 1000 / coneBefore);
         OBS_OBSERVE("fraig.reduction_permille", permille);
     }
+    if (capReached()) OBS_COUNT("fraig.cap_reached", 1);
     fraigSpan.arg("nodes_before", static_cast<std::int64_t>(coneBefore));
     fraigSpan.arg("nodes_after", static_cast<std::int64_t>(coneAfter));
+    // Cone nodes simulated before proving stopped (the constant excluded).
+    fraigSpan.arg("nodes_proved", static_cast<std::int64_t>(sigs.rows() - 1));
     return result;
 }
 

@@ -5,7 +5,8 @@
 // root so that no two remaining nodes compute the same (or complementary)
 // function: candidate equivalences are proposed by 64-way random simulation
 // signatures and confirmed by incremental SAT equivalence checks; confirmed
-// nodes are merged into their representative.
+// nodes are merged into their representative.  A sweep proves only while
+// it has queries and time left, then finishes as a plain rebuild.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,9 @@ struct FraigOptions {
     /// candidates, more memory).
     unsigned simWords = 4;
     /// Cap on SAT equivalence queries per sweep (0 = unlimited).  Keeps a
-    /// sweep over a merge-rich cone from dominating the solve time.
+    /// sweep over a merge-rich cone from dominating the solve time: once it
+    /// is reached the sweep stops simulating and proving, and the rest of
+    /// the cone is a plain structural rebuild.
     std::size_t maxQueries = 1000;
     /// Global deadline: once expired, the sweep stops issuing SAT queries
     /// and finishes as a plain structural rebuild (still sound).

@@ -1,7 +1,8 @@
 // Substitution, cofactoring, and single-variable quantification on AIGs.
 //
 // All operations are implemented on top of one iterative parallel
-// substitution that rebuilds the cone bottom-up with structural hashing.
+// substitution that rebuilds the cone bottom-up with structural hashing; a
+// node whose fanins come back unchanged is kept without calling mkAnd.
 // Memoization lives in the manager's generation-stamped TraversalCache and
 // lasts one call (no heap allocation on the hot path; see aig.hpp for why
 // there is no cross-call cache).
@@ -61,7 +62,9 @@ AigEdge Aig::substituteImpl(AigEdge root, Lookup&& lookup, const Deadline* deadl
             AigEdge::fromCode(static_cast<std::uint32_t>(trav_.get(i0))) ^ f0.complemented();
         const AigEdge b =
             AigEdge::fromCode(static_cast<std::uint32_t>(trav_.get(i1))) ^ f1.complemented();
-        trav_.set(idx, mkAnd(a, b).code());
+        // Fanins that came back unchanged make the node its own image: mkAnd
+        // on its own fanin pair can only find it again (see aig.hpp).
+        trav_.set(idx, (a == f0 && b == f1 ? AigEdge(idx, false) : mkAnd(a, b)).code());
         stack_.pop_back();
         if (deadline && ++rebuilt % kDeadlinePollNodes == 0 && deadline->expired()) {
             return AigEdge();

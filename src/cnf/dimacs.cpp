@@ -4,6 +4,7 @@
 #include <cstring>
 #include <fstream>
 #include <istream>
+#include <limits>
 #include <ostream>
 #include <string_view>
 
@@ -102,10 +103,11 @@ private:
     std::string_view tok_;
 };
 
-Var takeVar(Tokens& t, Var numVars)
+/// A variable in 1..numVars, compared before it narrows to Var.
+Var takeVar(Tokens& t, long numVars)
 {
     long v = t.takeInt();
-    if (v <= 0 || static_cast<Var>(v) > numVars) {
+    if (v <= 0 || v > numVars) {
         throw ParseError("variable " + std::to_string(v) + " out of range 1.." +
                          std::to_string(numVars));
     }
@@ -121,6 +123,10 @@ ParsedQdimacs parseText(std::string_view text)
     const long nv = t.takeInt();
     const long nc = t.takeInt();
     if (nv < 0 || nc < 0) throw ParseError("negative counts in header");
+    // The range checks below compare each parsed long with nv before it
+    // narrows to Var, and a literal narrows to int (Lit::fromDimacs).
+    if (nv > std::numeric_limits<int>::max())
+        throw ParseError("variable count in header out of range");
 
     ParsedQdimacs out;
     out.matrix.ensureVars(static_cast<Var>(nv));
@@ -135,21 +141,19 @@ ParsedQdimacs parseText(std::string_view text)
                 long v = t.takeInt();
                 if (v == 0) break;
                 if (v < 0) throw ParseError("negative variable in quantifier block");
-                if (static_cast<Var>(v) > out.matrix.numVars())
-                    throw ParseError("prefix variable out of range");
+                if (v > nv) throw ParseError("prefix variable out of range");
                 block.vars.push_back(static_cast<Var>(v - 1));
             }
             out.blocks.push_back(std::move(block));
         } else if (tok == "d") {
             t.take();
             DependencySpec dep;
-            dep.var = takeVar(t, out.matrix.numVars());
+            dep.var = takeVar(t, nv);
             for (;;) {
                 long v = t.takeInt();
                 if (v == 0) break;
                 if (v < 0) throw ParseError("negative variable in dependency line");
-                if (static_cast<Var>(v) > out.matrix.numVars())
-                    throw ParseError("dependency variable out of range");
+                if (v > nv) throw ParseError("dependency variable out of range");
                 dep.deps.push_back(static_cast<Var>(v - 1));
             }
             out.henkin.push_back(std::move(dep));
@@ -167,8 +171,7 @@ ParsedQdimacs parseText(std::string_view text)
             out.matrix.addClause(Clause(std::vector<Lit>(lits.begin(), lits.end())));
             lits.clear();
         } else {
-            if (static_cast<Var>(v < 0 ? -v : v) > out.matrix.numVars())
-                throw ParseError("clause literal out of range");
+            if (v < -nv || v > nv) throw ParseError("clause literal out of range");
             lits.push_back(Lit::fromDimacs(static_cast<int>(v)));
         }
     }

@@ -24,9 +24,11 @@
 
 namespace hqs::obs {
 
-/// Span names longer than this are truncated in the exported trace.
-inline constexpr std::size_t kSpanNameCapacity = 48;
-inline constexpr std::uint32_t kSpanMaxArgs = 3;
+/// Span names longer than this are truncated in the exported trace.  With
+/// four arguments this keeps a SpanRecord at 128 bytes (the longest span
+/// name in the tree has 18 characters).
+inline constexpr std::size_t kSpanNameCapacity = 32;
+inline constexpr std::uint32_t kSpanMaxArgs = 4;
 
 /// A span argument's value: an integer, or a string literal.
 union SpanArg {
@@ -41,11 +43,12 @@ struct SpanRecord {
     std::uint64_t durNs = 0;
     std::uint32_t tid = 0;   ///< small per-thread ordinal, not the OS tid
     std::uint32_t depth = 0; ///< nesting depth at record time (root = 0)
-    const char* argKey[kSpanMaxArgs] = {nullptr, nullptr, nullptr};
+    const char* argKey[kSpanMaxArgs] = {};
     SpanArg argVal[kSpanMaxArgs] = {};
     std::uint32_t numArgs = 0;
     std::uint32_t strArgs = 0; ///< bit i set: argVal[i] holds a string
 };
+static_assert(sizeof(SpanRecord) == 128, "a trace record is two cache lines");
 
 class SpanScope;
 

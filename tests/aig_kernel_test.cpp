@@ -212,6 +212,105 @@ TEST(AigKernel, SingleVariablePathsMatchTheGenericRebuild)
     }
 }
 
+/// g over variables 0..7 and h over 8..13 share no AND node; returns
+/// g & h, with g and h through the out-parameters.
+AigEdge twoSubcones(Aig& aig, AigEdge* g, AigEdge* h)
+{
+    Rng rng(41);
+    std::vector<AigEdge> pool;
+    auto grow = [&](Var first, Var count, std::size_t ops) {
+        pool.clear();
+        for (Var v = first; v < first + count; ++v) pool.push_back(aig.variable(v));
+        for (std::size_t i = 0; i < ops; ++i) {
+            const AigEdge a = pool[rng.below(pool.size())] ^ rng.flip();
+            const AigEdge b = pool[rng.below(pool.size())] ^ rng.flip();
+            pool.push_back(rng.flip() ? aig.mkAnd(a, b) : aig.mkXor(a, b));
+        }
+        AigEdge out = aig.constFalse();
+        for (std::size_t i = pool.size() - 10; i < pool.size(); ++i) out = aig.mkXor(out, pool[i]);
+        return out;
+    };
+    *g = grow(0, 8, 3000);
+    *h = grow(8, 6, 100);
+    return aig.mkAnd(*g, *h);
+}
+
+TEST(AigKernel, CofactorPaysNoProbesOutsideTheVariablesSubcone)
+{
+    // Two identical managers: one cofactors the whole cone, the other only
+    // the subcone that reads the variable and then builds the top node by
+    // hand.  The whole-cone rebuild walks g too, but every g node comes back
+    // unchanged, so both pay the same strash probes.
+    constexpr Var kV = 13;
+    Aig whole;
+    Aig part;
+    AigEdge g, h, wg, wh;
+    const AigEdge f = twoSubcones(part, &g, &h);
+    const AigEdge wf = twoSubcones(whole, &wg, &wh);
+    ASSERT_EQ(f, wf);
+    const std::vector<Var> gSupport = part.support(g);
+    ASSERT_FALSE(std::binary_search(gSupport.begin(), gSupport.end(), kV));
+    const std::vector<Var> hSupport = part.support(h);
+    ASSERT_TRUE(std::binary_search(hSupport.begin(), hSupport.end(), kV));
+    ASSERT_GT(part.coneSize(g), 500u);
+    ASSERT_TRUE(part.isAnd(f) && !f.complemented());
+
+    const std::uint64_t p0 = part.kernelStats().strashProbes;
+    const AigEdge h1 = part.cofactor(h, kV, true);
+    ASSERT_NE(h1, h);
+    auto image = [&](AigEdge e) { return e.nodeIndex() == h.nodeIndex() ? h1 ^ (e != h) : e; };
+    const AigEdge top = part.mkAnd(image(part.fanin0(f)), image(part.fanin1(f)));
+    const std::uint64_t partProbes = part.kernelStats().strashProbes - p0;
+
+    const std::uint64_t w0 = whole.kernelStats().strashProbes;
+    const AigEdge cof = whole.cofactor(wf, kV, true);
+    const std::uint64_t wholeProbes = whole.kernelStats().strashProbes - w0;
+    EXPECT_EQ(cof, top);
+    EXPECT_EQ(wholeProbes, partProbes);
+    EXPECT_EQ(whole.numNodes(), part.numNodes());
+    // A variable outside the cone's support leaves it as it is, probe-free.
+    const std::uint64_t before = whole.kernelStats().strashProbes;
+    EXPECT_EQ(whole.cofactor(wg, kV, false), wg);
+    EXPECT_EQ(whole.kernelStats().strashProbes, before);
+}
+
+TEST(AigKernel, AndsCounterMatchesAllocationsAtEveryPublish)
+{
+    obs::MetricScope scope;
+    Aig aig;
+    Rng rng(17);
+    auto ands = [&] {
+        return static_cast<std::uint64_t>(
+            scope.value(obs::metric("aig.ands", obs::MetricKind::Counter)));
+    };
+    std::uint64_t allocated = 0;
+    auto track = [&](auto&& op) {
+        const std::size_t before = aig.numNodes();
+        const AigEdge e = op();
+        allocated += aig.numNodes() - before;
+        return e;
+    };
+    // Input nodes are not ANDs: (re)create them outside the tracking.
+    auto inputs = [&] {
+        for (Var v = 0; v < kVars; ++v) aig.variable(v);
+    };
+    inputs();
+    AigEdge f = track([&] { return randomCone(aig, rng, 400); });
+    aig.publishKernelStats();
+    EXPECT_EQ(ands(), allocated);
+    EXPECT_EQ(aig.kernelStats().ands, allocated);
+    track([&] { return aig.cofactor(f, 2, true); });
+    f = track([&] { return aig.cofactor(f, 3, false); });
+    aig.garbageCollect({&f}); // publishes
+    EXPECT_EQ(ands(), allocated);
+    inputs(); // the collection may have dropped some
+    track([&] { return randomCone(aig, rng, 100); });
+    aig.publishKernelStats();
+    aig.publishKernelStats(); // a repeat publish adds nothing
+    EXPECT_EQ(ands(), allocated);
+    EXPECT_EQ(aig.kernelStats().ands, allocated);
+}
+
 // ---------------------------------------------------------------- GC -----
 
 TEST(AigKernel, GcPreservesSemanticsAndReclaimsGarbage)

@@ -230,6 +230,15 @@ TEST(Dimacs, ErrorTextsArePinnedVerbatim)
         {"p cnf 1 1\n1 0 2", "clause literal out of range"},
         {"p cnf 2 1\n1 -3 0\n", "clause literal out of range"},
         {"  c not a comment\np cnf 1 1\n1 0\n", "missing 'p cnf' header"},
+        // Values past 2^32 are compared before they narrow to a variable.
+        {"p cnf 2 1\n4294967297 0\n", "clause literal out of range"},
+        {"p cnf 2 1\n-4294967297 0\n", "clause literal out of range"},
+        {"p cnf 2 1\na 4294967298 0\n1 0\n", "prefix variable out of range"},
+        {"p cnf 2 1\nd 1 4294967298 0\n1 0\n", "dependency variable out of range"},
+        {"p cnf 2 1\nd 4294967297 1 0\n", "variable 4294967297 out of range 1..2"},
+        {"p cnf 1 1\n-9223372036854775808 0\n", "clause literal out of range"},
+        {"p cnf 4294967297 1\n1 0\n", "variable count in header out of range"},
+        {"p cnf 2147483648 1\n1 0\n", "variable count in header out of range"},
     };
     for (const auto& c : cases) {
         const std::string text = c.text;
@@ -246,6 +255,15 @@ TEST(Dimacs, ErrorTextsArePinnedVerbatim)
 }
 
 // Inputs the reader accepts, with the structure each must produce.
+TEST(Dimacs, LargestHeaderCountKeepsItsTopVariable)
+{
+    // 2^31 - 1 variables: the top one is still a literal, not a wrapped one.
+    const ParsedQdimacs p = parseBoth("p cnf 2147483647 1\na 2147483647 0\n-2147483647 0\n");
+    EXPECT_EQ(p.matrix.numVars(), 2147483647u);
+    EXPECT_EQ(p.blocks, (std::vector<PrefixBlockSpec>{{QuantKind::Forall, {2147483646}}}));
+    EXPECT_EQ(p.matrix.clauses(), (std::vector<Clause>{Clause{Lit::neg(2147483646)}}));
+}
+
 TEST(Dimacs, CommentLinesFirstMidPrefixAndLast)
 {
     const ParsedQdimacs p =
