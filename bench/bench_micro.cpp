@@ -68,6 +68,28 @@ void BM_AigConstruction(benchmark::State& state)
 }
 BENCHMARK(BM_AigConstruction)->Arg(1000)->Arg(10000)->Arg(100000);
 
+/// Deterministic cone over `vars` variables whose root reaches all `gates`
+/// AND/OR/XOR nodes: each gate reads the previous one and a random earlier
+/// node, so a cofactor rebuilds a cone of the full size.
+AigEdge chainCone(Aig& aig, unsigned vars, unsigned gates, std::uint64_t seed)
+{
+    Rng rng(seed);
+    std::vector<AigEdge> pool;
+    for (Var v = 0; v < vars; ++v) pool.push_back(aig.variable(v));
+    for (unsigned i = 0; i < gates; ++i) {
+        const AigEdge a = pool.back() ^ rng.flip();
+        const AigEdge b = pool[rng.below(pool.size())] ^ rng.flip();
+        switch (rng.below(3)) {
+            case 0: pool.push_back(aig.mkAnd(a, b)); break;
+            case 1: pool.push_back(aig.mkOr(a, b)); break;
+            default: pool.push_back(aig.mkXor(a, b)); break;
+        }
+    }
+    return pool.back();
+}
+
+// Re-cofactors one root in one manager: from the second iteration on every
+// mkAnd hits the strash, so this times only the hit path.
 void BM_AigCofactor(benchmark::State& state)
 {
     Aig aig;
@@ -77,6 +99,26 @@ void BM_AigCofactor(benchmark::State& state)
     }
 }
 BENCHMARK(BM_AigCofactor)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_AigCofactorPair(benchmark::State& state)
+{
+    // The elimination rebuild: both cofactors of a freshly built cone in one
+    // pass over the cone list its Theorem-6 scan recorded, so every
+    // iteration allocates the cofactors' nodes as an elimination does.
+    std::size_t cone = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        Aig aig;
+        const AigEdge root = chainCone(aig, 32, static_cast<unsigned>(state.range(0)), 37);
+        const UnitPureInfo scan = aig.detectUnitPure(root);
+        cone = scan.coneSize;
+        state.ResumeTiming();
+        benchmark::DoNotOptimize(aig.cofactorPair(root, 5, scan.cone, Deadline::unlimited()));
+    }
+    state.counters["cone"] = static_cast<double>(cone);
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cone));
+}
+BENCHMARK(BM_AigCofactorPair)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_AigQuantifyExistential(benchmark::State& state)
 {
@@ -190,18 +232,6 @@ void BM_UnitPureBatch(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_UnitPureBatch)->Arg(64)->Arg(512);
-
-void BM_FraigReduce(benchmark::State& state)
-{
-    for (auto _ : state) {
-        state.PauseTiming();
-        Aig aig;
-        const AigEdge root = randomCone(aig, 16, static_cast<unsigned>(state.range(0)), 17);
-        state.ResumeTiming();
-        benchmark::DoNotOptimize(fraigReduce(aig, root));
-    }
-}
-BENCHMARK(BM_FraigReduce)->Arg(500)->Arg(2000);
 
 void BM_FraigReduceOverCap(benchmark::State& state)
 {

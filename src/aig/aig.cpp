@@ -373,7 +373,7 @@ AigEdge Aig::importCone(const Aig& src, AigEdge root)
     return result[root.nodeIndex()] ^ root.complemented();
 }
 
-void Aig::garbageCollect(std::vector<AigEdge*> roots)
+void Aig::garbageCollect(std::vector<AigEdge*> roots, std::vector<std::uint32_t>* nodeList)
 {
     const std::size_t oldSize = nodes_.size();
     stats_.peakAllocatedNodes = std::max<std::uint64_t>(stats_.peakAllocatedNodes, oldSize);
@@ -429,6 +429,12 @@ void Aig::garbageCollect(std::vector<AigEdge*> roots)
     for (AigEdge* r : roots) {
         *r = AigEdge(remap[r->nodeIndex()], r->complemented());
     }
+    if (nodeList) {
+        for (std::uint32_t& idx : *nodeList) {
+            assert(reachable[idx]);
+            idx = remap[idx];
+        }
+    }
 
     ++stats_.gcRuns;
     stats_.gcReclaimedNodes += oldSize - nodes_.size();
@@ -442,6 +448,7 @@ void Aig::publishKernelStats()
     const AigKernelStats& s = stats_;
     AigKernelStats& p = published_;
     OBS_COUNT("aig.ands", static_cast<std::int64_t>(s.ands - p.ands));
+    OBS_COUNT("aig.rebuild.visits", static_cast<std::int64_t>(s.rebuildVisits - p.rebuildVisits));
     OBS_COUNT("aig.strash.probes", static_cast<std::int64_t>(s.strashProbes - p.strashProbes));
     OBS_COUNT("aig.strash.resizes", static_cast<std::int64_t>(s.strashResizes - p.strashResizes));
     OBS_COUNT("aig.rewrite.contradiction",

@@ -17,12 +17,18 @@
 //     unit/pure walk) run on a manager-owned, generation-stamped
 //     TraversalCache — bumping the generation invalidates in O(1), so the
 //     hot paths do no per-call heap allocation;
-//   * a cone rebuild (substitute, cofactor, compose, the FRAIG sweep)
-//     keeps a node whose rebuilt fanins equal its own fanins without
-//     calling mkAnd.  This is exact: a node exists only because no rewrite
-//     rule fired on its fanin pair, whether a rule fires does not depend
-//     on operand order, and the strash holds every AND node, so mkAnd on
-//     that pair can only return the node itself;
+//   * a cone rebuild (substitute, cofactor, compose, cofactorPair, the
+//     FRAIG sweep) keeps a node whose rebuilt fanins equal its own fanins
+//     without calling mkAnd.  This is exact: a node exists only because no
+//     rewrite rule fired on its fanin pair, whether a rule fires does not
+//     depend on operand order, and the strash holds every AND node, so
+//     mkAnd on that pair can only return the node itself;
+//   * the elimination rebuild (cofactorPair) is one linear pass over a
+//     topological cone list — the one the Theorem-6 scan records — that
+//     builds phi[0/v] and phi[1/v] together, both images of a node packed
+//     into one 64-bit traversal slot: no DFS stack, no "fanin done?"
+//     checks.  The DFS rebuild stays only for callers without a scan
+//     (certificates, Skolem reconstruction, iDQ, gate composition);
 //   * there is no cross-call compose/cofactor cache: each elimination
 //     cofactors a fresh (variable, constant) pair, so entries would never
 //     repeat within a solve;
@@ -43,6 +49,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/base/literal.hpp"
@@ -96,6 +103,10 @@ struct UnitPureInfo {
     /// fanin (1 for a root that is v's input itself); 0 = outside the
     /// support.  Sized to the largest occurring variable + 1.
     std::vector<std::uint32_t> occurrences;
+    /// Indices of the cone's input and AND nodes (not the constant) in
+    /// descending order, as the walk visits them: read backwards, a
+    /// topological order, the list Aig::cofactorPair runs over.
+    std::vector<std::uint32_t> cone;
 
     std::uint32_t occurrencesOf(Var v) const
     {
@@ -152,13 +163,17 @@ private:
 };
 
 /// Cumulative kernel instrumentation (monotonic over the manager's life).
-/// Mirrored into the obs registry as aig.ands, aig.strash.*, aig.rewrite.*,
-/// aig.gc.* and the aig.nodes.peak_* gauges by
+/// Mirrored into the obs registry as aig.ands, aig.strash.*,
+/// aig.rebuild.visits, aig.rewrite.*, aig.gc.* and the aig.nodes.peak_*
+/// gauges by
 /// publishKernelStats()/garbageCollect.
 struct AigKernelStats {
     std::uint64_t ands = 0;           ///< AND nodes allocated (strash misses)
     std::uint64_t strashProbes = 0;   ///< table slots inspected by mkAnd
     std::uint64_t strashResizes = 0;  ///< doublings of the strash table
+    /// AND nodes visited by cone rebuilds (substitute, cofactor, compose,
+    /// cofactorPair); a cofactorPair step builds both images and counts once.
+    std::uint64_t rebuildVisits = 0;
     /// mkAnd calls settled by each two-level rewriting rule (a substitution
     /// counts once per round it continues with).
     std::uint64_t rewriteContradiction = 0;
@@ -216,13 +231,20 @@ public:
     // ----- substitution and quantification (quantify.cpp) -------------------
     /// phi[value/v].
     AigEdge cofactor(AigEdge root, Var v, bool value);
-    /// phi[value/v], or an invalid edge once @p deadline has expired: the
-    /// rebuild polls it every kDeadlinePollNodes rebuilt nodes and abandons
-    /// the partial copy (garbage for the next collection).
-    AigEdge cofactor(AigEdge root, Var v, bool value, const Deadline& deadline);
-    static constexpr std::uint32_t kDeadlinePollNodes = 4096;
     /// phi[g/v] (single composition).
     AigEdge compose(AigEdge root, Var v, AigEdge g);
+    /// (phi[0/v], phi[1/v]) in one ascending pass over @p cone, the cone of
+    /// @p root as UnitPureInfo::cone lists it (descending indices).  With
+    /// @p renameHigh (which must not map v) the second image is
+    /// phi[1/v][renameHigh], Theorem 1's renamed cofactor.  Polls
+    /// @p deadline every kDeadlinePollNodes steps; once it has expired both
+    /// edges come back invalid and the partial copies are garbage for the
+    /// next collection.
+    std::pair<AigEdge, AigEdge> cofactorPair(AigEdge root, Var v,
+                                             const std::vector<std::uint32_t>& cone,
+                                             const Deadline& deadline,
+                                             const Substitution* renameHigh = nullptr);
+    static constexpr std::uint32_t kDeadlinePollNodes = 4096;
     /// Simultaneous substitution var -> function for every entry of @p sub.
     AigEdge substitute(AigEdge root, const Substitution& sub);
     /// ∃v. phi  =  phi[0/v] | phi[1/v].
@@ -258,20 +280,27 @@ public:
     bool evaluate(AigEdge root, const std::vector<bool>& assignment) const;
 
     // ----- unit/pure detection (unit_pure.cpp) -----------------------------
-    /// Syntactic unit/pure classification of Theorem 6, with the cone size
-    /// and per-variable occurrence counts, in one O(cone + vars) walk.
+    /// Syntactic unit/pure classification of Theorem 6, with the cone size,
+    /// per-variable occurrence counts and the cone list, in one
+    /// O(cone + vars) walk.
     UnitPureInfo detectUnitPure(AigEdge root) const;
+    /// The same walk into @p out, whose vectors keep their capacity.
+    void detectUnitPure(AigEdge root, UnitPureInfo& out) const;
 
     // ----- garbage collection ----------------------------------------------
     /// Drop every node not reachable from @p roots, rebuilding the node
     /// pool and rehashing the strash.  The edges in @p roots are updated in
-    /// place.
-    void garbageCollect(std::vector<AigEdge*> roots);
+    /// place, and so are the node indices in @p nodeList (each must be
+    /// reachable from @p roots).  Compaction keeps relative index order, so
+    /// a sorted list stays sorted.
+    void garbageCollect(std::vector<AigEdge*> roots,
+                        std::vector<std::uint32_t>* nodeList = nullptr);
 
     // ----- instrumentation --------------------------------------------------
     const AigKernelStats& kernelStats() const { return stats_; }
     /// Push the deltas since the last publish into the obs registry
-    /// (aig.ands, aig.strash.probes, aig.strash.resizes, the aig.rewrite.<rule>
+    /// (aig.ands, aig.strash.probes, aig.strash.resizes, aig.rebuild.visits,
+    /// the aig.rewrite.<rule>
     /// counters, aig.gc.runs, aig.gc.reclaimed
     /// and the aig.nodes.peak_live / aig.nodes.peak_alloc gauges).  Called by
     /// garbageCollect; call once more when a solve finishes.
@@ -330,11 +359,13 @@ private:
     void strashInsertNew(std::uint32_t idx); ///< insert without duplicate check
     static std::uint64_t strashHash(std::uint32_t aCode, std::uint32_t bCode);
 
-    // the one cone rebuild behind every substitution (quantify.cpp); an
-    // invalid edge once @p deadline (optional) expires
+    // One node of every cone rebuild: AND node @p idx with @p img0 and
+    // @p img1, the images of its fanins' nodes (quantify.cpp).
+    AigEdge rebuildAnd(std::uint32_t idx, AigEdge img0, AigEdge img1);
+    // the DFS cone rebuild behind substitute, cofactor and compose
+    // (quantify.cpp)
     template <class Lookup>
-    AigEdge substituteImpl(AigEdge root, Lookup&& lookup, const Deadline* deadline);
-    AigEdge composeImpl(AigEdge root, Var v, AigEdge g, const Deadline* deadline);
+    AigEdge substituteImpl(AigEdge root, Lookup&& lookup);
 
     const Node& node(AigEdge e) const { return nodes_[e.nodeIndex()]; }
 

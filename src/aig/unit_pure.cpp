@@ -13,8 +13,9 @@
 //   * positive pure  iff reachEven and not reachOdd
 //   * negative pure  iff reachOdd  and not reachEven
 // The same sweep counts the cone's AND nodes and, per variable, the AND
-// nodes that read it as a fanin, so callers that need the cone size or the
-// support do not walk the cone again.
+// nodes that read it as a fanin, and lists the cone's nodes in the order it
+// visits them, so callers that need the cone size, the support or a
+// topological order of the cone (Aig::cofactorPair) do not walk it again.
 // Cost: O(|phi| + |V|), as stated in the paper.  The per-node flags live
 // as bits in the manager's generation-stamped TraversalCache.
 #include "src/aig/aig.hpp"
@@ -31,7 +32,18 @@ constexpr std::uint64_t kNegUnit = 8;
 UnitPureInfo Aig::detectUnitPure(AigEdge root) const
 {
     UnitPureInfo info;
-    if (isConstant(root)) return info;
+    detectUnitPure(root, info);
+    return info;
+}
+
+void Aig::detectUnitPure(AigEdge root, UnitPureInfo& info) const
+{
+    for (std::vector<Var>* list : {&info.posUnit, &info.negUnit, &info.posPure, &info.negPure})
+        list->clear();
+    info.coneSize = 0;
+    info.occurrences.clear();
+    info.cone.clear();
+    if (isConstant(root)) return;
 
     const std::uint32_t rootIdx = root.nodeIndex();
     trav_.reset(nodes_.size());
@@ -54,6 +66,7 @@ UnitPureInfo Aig::detectUnitPure(AigEdge root) const
         if (!trav_.has(idx)) continue; // outside the cone
         const std::uint64_t bits = trav_.get(idx);
         if ((bits & (kReachEven | kReachOdd)) == 0) continue;
+        info.cone.push_back(idx);
         const Node& n = nodes_[idx];
         if (n.extVar != kNoVar) {
             const Var v = n.extVar;
@@ -79,7 +92,6 @@ UnitPureInfo Aig::detectUnitPure(AigEdge root) const
             if (childBits != 0) trav_.orBits(child, childBits);
         }
     }
-    return info;
 }
 
 } // namespace hqs

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "src/aig/cnf_bridge.hpp"
 #include "src/obs/obs.hpp"
@@ -209,7 +208,7 @@ SolveResult HqsSolver::solve(DqbfFormula f)
                     // pair on a huge cone can dwarf the loop-head check.
                     if (opts_.deadline.expired()) break;
                     if (!f.dependsOnAllUniversals(y)) continue;
-                    if (!aig.hasVariable(y)) {
+                    if (kernel.scan().occurrencesOf(y) == 0) {
                         kernel.dropUnsupported(y, ops);
                         continue;
                     }
@@ -261,27 +260,17 @@ SolveResult HqsSolver::solve(DqbfFormula f)
             continue;
         }
 
-        // Theorem 1: psi == forall-rest: phi[0/x] & phi[1/x][y'/y for y in E_x].
-        // Each of the two cofactors and the substitution below copies O(cone)
-        // nodes; on huge cones that overshoots the budget badly if only the
-        // loop head checks — so check between the expensive steps too.
+        // Theorem 1: psi == forall-rest: phi[0/x] & phi[1/x][y'/y for y in E_x],
+        // both conjuncts from one polled pass over the scanned cone.
         if (opts_.deadline.expired()) return finish(deadlineExceededResult(opts_.deadline), "elimination");
         {
             OBS_PHASE(unSpan, "hqs.elim_universal", "phase.elim_universal.us");
             const std::size_t nodesBefore = aig.numNodes();
-            // A cofactor abandoned at the deadline is an invalid edge.
-            const AigEdge cof0 = aig.cofactor(matrix, pick, false, opts_.deadline);
-            if (opts_.deadline.expired())
-                return finish(deadlineExceededResult(opts_.deadline), "elimination");
-            AigEdge cof1 = aig.cofactor(matrix, pick, true, opts_.deadline);
-            if (opts_.deadline.expired()) return finish(deadlineExceededResult(opts_.deadline), "elimination");
-            const std::vector<Var> supp1 = aig.support(cof1);
-            const std::unordered_set<Var> supp1Set(supp1.begin(), supp1.end());
-
+            const UnitPureInfo& scan = kernel.scan();
             Substitution& renaming = aig.scratchSubstitution();
             SkolemRecorder::UniversalSplit split{pick, {}};
             for (Var y : std::vector<Var>(f.dependersOf(pick))) {
-                if (!supp1Set.contains(y)) continue; // a copy would not occur
+                if (scan.occurrencesOf(y) == 0) continue; // a copy would not occur
                 std::vector<Var> deps = f.dependencies(y);
                 std::erase(deps, pick);
                 const Var fresh = f.addExistential(std::move(deps));
@@ -289,10 +278,10 @@ SolveResult HqsSolver::solve(DqbfFormula f)
                 split.copies.emplace_back(y, fresh);
                 ++stats_.copiesIntroduced;
             }
+            if (SolveResult r = kernel.eliminateForall(pick, &renaming); r != SolveResult::Unknown)
+                return finish(r, "elimination");
             const std::int64_t copies = static_cast<std::int64_t>(split.copies.size());
             if (rec && !split.copies.empty()) rec->record(std::move(split));
-            cof1 = aig.substitute(cof1, renaming);
-            matrix = aig.mkAnd(cof0, cof1);
             f.removeUniversal(pick);
             ++stats_.universalsEliminated;
             OBS_COUNT("hqs.elim.universal", 1);

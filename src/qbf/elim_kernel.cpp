@@ -21,7 +21,7 @@ PrefixOps prefixOps(QbfPrefix& prefix)
 const UnitPureInfo& ElimKernel::scan()
 {
     if (!scanCurrent()) {
-        scan_ = aig_.detectUnitPure(matrix_);
+        aig_.detectUnitPure(matrix_, scan_);
         scanEdge_ = matrix_;
         scanGcRun_ = aig_.kernelStats().gcRuns;
         ++stats_.scans;
@@ -40,11 +40,12 @@ std::size_t ElimKernel::trackPeak()
 void ElimKernel::collectGarbage()
 {
     // Compaction renumbers the matrix cone without changing its shape or
-    // node order, so a scan of it carries over under the new key.
+    // node order, so a scan of it carries over under the new key, its cone
+    // list remapped in place.
     const bool rekey = scanCurrent();
     std::vector<AigEdge*> roots{&matrix_};
     if (recorder_) recorder_->appendGcRoots(roots);
-    aig_.garbageCollect(std::move(roots));
+    aig_.garbageCollect(std::move(roots), rekey ? &scan_.cone : nullptr);
     if (rekey) {
         scanEdge_ = matrix_;
         scanGcRun_ = aig_.kernelStats().gcRuns;
@@ -147,15 +148,15 @@ SolveResult ElimKernel::unitPurePass(const PrefixOps& prefix)
     return SolveResult::Unknown;
 }
 
-std::optional<std::pair<AigEdge, AigEdge>> ElimKernel::cofactors(Var v)
+std::optional<std::pair<AigEdge, AigEdge>> ElimKernel::cofactors(Var v,
+                                                                  const Substitution* renameHigh)
 {
-    // One cofactor of a large cone can take longer than the whole budget,
-    // so the rebuild itself polls the deadline.
-    const AigEdge cof0 = aig_.cofactor(matrix_, v, false, limits_.deadline);
-    if (!cof0.isValid()) return std::nullopt;
-    const AigEdge cof1 = aig_.cofactor(matrix_, v, true, limits_.deadline);
-    if (!cof1.isValid()) return std::nullopt;
-    return std::pair{cof0, cof1};
+    // Both cofactors in one pass over the cone list the scan recorded.  One
+    // pass over a large cone can take longer than the whole budget, so it
+    // polls the deadline itself.
+    const auto cofs = aig_.cofactorPair(matrix_, v, scan().cone, limits_.deadline, renameHigh);
+    if (!cofs.first.isValid()) return std::nullopt;
+    return cofs;
 }
 
 SolveResult ElimKernel::eliminateExists(Var v)
@@ -167,9 +168,9 @@ SolveResult ElimKernel::eliminateExists(Var v)
     return SolveResult::Unknown;
 }
 
-SolveResult ElimKernel::eliminateForall(Var v)
+SolveResult ElimKernel::eliminateForall(Var v, const Substitution* renameHigh)
 {
-    const auto cofs = cofactors(v);
+    const auto cofs = cofactors(v, renameHigh);
     if (!cofs) return deadlineExceededResult(limits_.deadline);
     matrix_ = aig_.mkAnd(cofs->first, cofs->second);
     return SolveResult::Unknown;

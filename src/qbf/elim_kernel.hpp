@@ -74,8 +74,10 @@ public:
     }
 
     /// The Theorem-6 walk of the current matrix (unit/pure lists, cone size,
-    /// occurrence counts), cached until the matrix edge or the manager's GC
-    /// generation changes; the kernel's own GC re-keys it (DESIGN §14).
+    /// occurrence counts, cone list), cached until the matrix edge or the
+    /// manager's GC generation changes; the kernel's own GC re-keys it and
+    /// remaps its cone list (DESIGN §14).  Refilled in place, so the lists
+    /// keep their capacity from scan to scan.
     /// The result describes the matrix until the matrix changes.
     const UnitPureInfo& scan();
 
@@ -98,14 +100,18 @@ public:
     /// expires inside a cofactor rebuild.
     SolveResult eliminateExists(Var v);
     /// ∀v.phi = phi[0/v] & phi[1/v]; results as for eliminateExists.
-    SolveResult eliminateForall(Var v);
+    /// With @p renameHigh the second conjunct is phi[1/v][renameHigh]:
+    /// Theorem 1's phi[0/x] & phi[1/x][y'/y], still one pass.
+    SolveResult eliminateForall(Var v, const Substitution* renameHigh = nullptr);
     /// Remove @p v, absent from the matrix, from the prefix; an existential
     /// is pinned to false in the Skolem trace.
     void dropUnsupported(Var v, const PrefixOps& prefix);
 
 private:
-    /// phi[0/v] and phi[1/v] under the deadline (nullopt once it expires).
-    std::optional<std::pair<AigEdge, AigEdge>> cofactors(Var v);
+    /// phi[0/v] and phi[1/v][renameHigh] under the deadline (nullopt once
+    /// it expires), one pass over scan().cone.
+    std::optional<std::pair<AigEdge, AigEdge>> cofactors(Var v,
+                                                         const Substitution* renameHigh = nullptr);
     /// Mark-compact, keeping the matrix and the recorder's cofactors.
     void collectGarbage();
     /// FRAIG-reduce the matrix; returns the swept cone's size.

@@ -274,6 +274,160 @@ TEST(AigKernel, CofactorPaysNoProbesOutsideTheVariablesSubcone)
     EXPECT_EQ(whole.kernelStats().strashProbes, before);
 }
 
+// ---------------------------------------------------------- cofactorPair --
+//
+// The elimination rebuild: one ascending pass over the scan's cone list that
+// builds both cofactors.  Within one manager it must return the DFS
+// rebuild's edges exactly, so re-deriving either cofactor afterwards finds
+// every node in the strash.
+
+/// cofactorPair(root, v) against cofactor(root, v, false/true), edge for
+/// edge, with the DFS re-derivation allocating nothing.
+void expectPairMatchesDfs(Aig& aig, AigEdge root, Var v, const std::string& what)
+{
+    const UnitPureInfo scan = aig.detectUnitPure(root);
+    const auto [lo, hi] = aig.cofactorPair(root, v, scan.cone, Deadline::unlimited());
+    ASSERT_TRUE(lo.isValid() && hi.isValid()) << what;
+    const std::uint64_t ands = aig.kernelStats().ands;
+    EXPECT_EQ(lo, aig.cofactor(root, v, false)) << what;
+    EXPECT_EQ(hi, aig.cofactor(root, v, true)) << what;
+    EXPECT_EQ(aig.kernelStats().ands, ands) << what;
+}
+
+TEST(AigKernel, ScanListsTheConeInDescendingIndexOrder)
+{
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+        Aig aig;
+        Rng rng(seed * 61);
+        const AigEdge f = randomCone(aig, rng, 120);
+        if (aig.isConstant(f)) continue;
+        const UnitPureInfo scan = aig.detectUnitPure(f);
+        ASSERT_FALSE(scan.cone.empty());
+        EXPECT_EQ(scan.cone.front(), f.nodeIndex());
+        EXPECT_TRUE(std::is_sorted(scan.cone.rbegin(), scan.cone.rend()));
+        EXPECT_EQ(std::adjacent_find(scan.cone.begin(), scan.cone.end()), scan.cone.end());
+        std::size_t ands = 0;
+        for (const std::uint32_t idx : scan.cone) {
+            if (aig.isAnd(AigEdge(idx, false))) ++ands;
+        }
+        EXPECT_EQ(ands, scan.coneSize);
+        EXPECT_EQ(scan.cone.size() - ands, aig.support(f).size());
+    }
+    Aig aig;
+    EXPECT_TRUE(aig.detectUnitPure(aig.constTrue()).cone.empty());
+}
+
+TEST(AigKernel, CofactorPairMatchesBothDfsCofactorsEdgeForEdge)
+{
+    for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+        Aig aig;
+        Rng rng(seed * 977);
+        const AigEdge f = randomCone(aig, rng, 40 + rng.below(260));
+        const Var v = static_cast<Var>(rng.below(kVars));
+        const std::string what = "seed " + std::to_string(seed);
+        const std::uint64_t tt = truthTable(aig, f);
+        expectPairMatchesDfs(aig, f, v, what);
+        // Either polarity of the root.
+        expectPairMatchesDfs(aig, ~f, v, what + " complemented");
+        // Semantics, independent of the DFS.
+        const auto [lo, hi] =
+            aig.cofactorPair(f, v, aig.detectUnitPure(f).cone, Deadline::unlimited());
+        std::uint64_t lo0 = 0, hi1 = 0;
+        for (unsigned bits = 0; bits < (1u << kVars); ++bits) {
+            if ((tt >> (bits & ~(1u << v))) & 1u) lo0 |= 1ull << bits;
+            if ((tt >> (bits | (1u << v))) & 1u) hi1 |= 1ull << bits;
+        }
+        EXPECT_EQ(truthTable(aig, lo), lo0) << what;
+        EXPECT_EQ(truthTable(aig, hi), hi1) << what;
+    }
+}
+
+TEST(AigKernel, CofactorPairHandlesInputRootsAbsentVariablesAndConstants)
+{
+    Aig aig;
+    Rng rng(5);
+    const AigEdge f = randomCone(aig, rng, 200);
+    const AigEdge x = aig.variable(3);
+    // A root that is v's input, in both polarities.
+    for (const AigEdge root : {x, ~x}) {
+        const auto [lo, hi] =
+            aig.cofactorPair(root, 3, aig.detectUnitPure(root).cone, Deadline::unlimited());
+        EXPECT_EQ(lo, aig.constFalse() ^ root.complemented());
+        EXPECT_EQ(hi, aig.constTrue() ^ root.complemented());
+    }
+    expectPairMatchesDfs(aig, x, 3, "input root");
+    expectPairMatchesDfs(aig, ~x, 3, "complemented input root");
+    // Another variable's input, and v absent from the cone (in the manager
+    // or not at all): both images are the root, nothing is allocated.
+    const AigEdge far = aig.variable(40);
+    const std::uint64_t ands = aig.kernelStats().ands;
+    for (const Var v : {Var{40}, Var{77}}) {
+        const auto [lo, hi] =
+            aig.cofactorPair(f, v, aig.detectUnitPure(f).cone, Deadline::unlimited());
+        EXPECT_EQ(lo, f);
+        EXPECT_EQ(hi, f);
+    }
+    const auto [flo, fhi] =
+        aig.cofactorPair(~far, 3, aig.detectUnitPure(~far).cone, Deadline::unlimited());
+    EXPECT_EQ(flo, ~far);
+    EXPECT_EQ(fhi, ~far);
+    EXPECT_EQ(aig.kernelStats().ands, ands);
+    expectPairMatchesDfs(aig, f, 40, "absent variable");
+    // A constant root has an empty cone.
+    for (const AigEdge c : {aig.constFalse(), aig.constTrue()}) {
+        const auto [lo, hi] = aig.cofactorPair(c, 3, {}, Deadline::unlimited());
+        EXPECT_EQ(lo, c);
+        EXPECT_EQ(hi, c);
+    }
+}
+
+TEST(AigKernel, RenamedCofactorPairIsTheOnePassTheorem1Substitution)
+{
+    // The high image under a renaming is phi[1/v][renaming]: the same edge
+    // as one parallel substitution {v -> 1, y -> y'} by the DFS rebuild.
+    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+        Aig aig;
+        Rng rng(seed * 389);
+        const AigEdge f = randomCone(aig, rng, 60 + rng.below(200));
+        const Var v = static_cast<Var>(rng.below(kVars));
+        Substitution renaming;
+        for (Var y = 0; y < kVars; ++y) {
+            if (y != v && rng.flip()) renaming.set(y, aig.variable(100 + y));
+        }
+        const auto [lo, hi] = aig.cofactorPair(f, v, aig.detectUnitPure(f).cone,
+                                               Deadline::unlimited(), &renaming);
+        const std::uint64_t ands = aig.kernelStats().ands;
+        Substitution whole;
+        whole.set(v, aig.constTrue());
+        for (const Var y : renaming.domain()) whole.set(y, renaming.image(y));
+        EXPECT_EQ(lo, aig.cofactor(f, v, false)) << "seed " << seed;
+        EXPECT_EQ(hi, aig.substitute(f, whole)) << "seed " << seed;
+        EXPECT_EQ(aig.kernelStats().ands, ands) << "seed " << seed;
+        // And the function of the old two-step path.
+        EXPECT_TRUE(satEquivalent(aig, hi, aig.substitute(aig.cofactor(f, v, true), renaming)))
+            << "seed " << seed;
+    }
+}
+
+TEST(AigKernel, RebuildVisitsCountOneStepPerPairNode)
+{
+    obs::MetricScope scope;
+    Aig aig;
+    Rng rng(17);
+    const AigEdge f = randomCone(aig, rng, 300);
+    const UnitPureInfo scan = aig.detectUnitPure(f);
+    const std::uint64_t v0 = aig.kernelStats().rebuildVisits;
+    (void)aig.cofactorPair(f, 2, scan.cone, Deadline::unlimited());
+    EXPECT_EQ(aig.kernelStats().rebuildVisits - v0, scan.coneSize);
+    const std::uint64_t v1 = aig.kernelStats().rebuildVisits;
+    (void)aig.cofactor(f, 2, false);
+    EXPECT_EQ(aig.kernelStats().rebuildVisits - v1, scan.coneSize);
+    aig.publishKernelStats();
+    EXPECT_EQ(static_cast<std::uint64_t>(scope.value(
+                  obs::metric("aig.rebuild.visits", obs::MetricKind::Counter))),
+              aig.kernelStats().rebuildVisits);
+}
+
 TEST(AigKernel, AndsCounterMatchesAllocationsAtEveryPublish)
 {
     obs::MetricScope scope;
@@ -929,6 +1083,7 @@ TEST(AigKernel, ScanCacheMatchesFreshWalksAcrossEveryMatrixChange)
         EXPECT_EQ(cached.posPure, fresh.posPure) << step;
         EXPECT_EQ(cached.negPure, fresh.negPure) << step;
         EXPECT_EQ(cached.occurrences, fresh.occurrences) << step;
+        EXPECT_EQ(cached.cone, fresh.cone) << step;
         EXPECT_EQ(cached.coneSize, aig.coneSize(m)) << step;
         const auto reference = hashMapOccurrences(aig, m);
         std::size_t occurring = 0;
@@ -970,6 +1125,17 @@ TEST(AigKernel, ScanCacheMatchesFreshWalksAcrossEveryMatrixChange)
     const std::size_t scansAfterGc = stats.scans;
     expectFresh("fraig + own gc");
     EXPECT_EQ(stats.scans, scansAfterGc);
+    // The remapped cone list drives the next elimination: no rescan, and
+    // the same cofactors as the DFS rebuild.
+    {
+        const AigEdge before = kernel.matrix();
+        const AigEdge cof0 = aig.cofactor(before, 4, false);
+        const AigEdge cof1 = aig.cofactor(before, 4, true);
+        ASSERT_EQ(kernel.eliminateForall(4), SolveResult::Unknown);
+        EXPECT_EQ(stats.scans, scansAfterGc);
+        EXPECT_EQ(kernel.matrix(), aig.mkAnd(cof0, cof1));
+    }
+    expectFresh("eliminateForall after own gc");
 
     // A collection the kernel did not run bumps the generation, so an edge
     // that reads the same afterwards (but names another node) is rescanned.
@@ -1281,12 +1447,17 @@ TEST(AigKernel, ExpiredDeadlineAbandonsALargeCofactorWithinOnePollInterval)
     Aig aig;
     const AigEdge f = xorChain(aig, 4000);
     ASSERT_GE(aig.coneSize(f), 10000u);
+    const std::vector<std::uint32_t> cone = aig.detectUnitPure(f).cone;
     const std::size_t before = aig.numNodes();
-    EXPECT_FALSE(aig.cofactor(f, 0, false, expiredDeadline()).isValid());
-    EXPECT_LT(aig.numNodes() - before, 2 * Aig::kDeadlinePollNodes);
-    // Without expiry the polled rebuild is the plain cofactor.
-    const AigEdge polled = aig.cofactor(f, 0, true, Deadline::in(3600));
-    EXPECT_EQ(polled, aig.cofactor(f, 0, true));
+    const auto [lo, hi] = aig.cofactorPair(f, 0, cone, expiredDeadline());
+    EXPECT_FALSE(lo.isValid());
+    EXPECT_FALSE(hi.isValid());
+    // Both images of one poll interval's nodes, at most.
+    EXPECT_LT(aig.numNodes() - before, 4 * Aig::kDeadlinePollNodes);
+    // Without expiry the polled pass gives the plain cofactors.
+    const auto polled = aig.cofactorPair(f, 0, cone, Deadline::in(3600));
+    EXPECT_EQ(polled.first, aig.cofactor(f, 0, false));
+    EXPECT_EQ(polled.second, aig.cofactor(f, 0, true));
 }
 
 TEST(AigKernel, EliminationAbandonedAtTheDeadlineLeavesTheMatrixUnchanged)
@@ -1300,6 +1471,12 @@ TEST(AigKernel, EliminationAbandonedAtTheDeadlineLeavesTheMatrixUnchanged)
     EXPECT_EQ(kernel.eliminateExists(0), SolveResult::Timeout);
     EXPECT_EQ(kernel.matrix(), f);
     EXPECT_EQ(kernel.eliminateForall(0), SolveResult::Timeout);
+    EXPECT_EQ(kernel.matrix(), f);
+    // Theorem 1's renamed pass polls the same deadline.
+    Substitution renaming;
+    renaming.set(1, aig.variable(5000));
+    renaming.set(2, aig.variable(5001));
+    EXPECT_EQ(kernel.eliminateForall(0, &renaming), SolveResult::Timeout);
     EXPECT_EQ(kernel.matrix(), f);
 }
 

@@ -2,9 +2,18 @@
 // randomized agreement with the expansion oracle under every configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
+#include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
+#include "src/cert/certificate.hpp"
+#include "src/cert/extract.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
+#include "src/qbf/elim_kernel.hpp"
+#include "src/sat/sat_solver.hpp"
 
 namespace hqs {
 namespace {
@@ -271,6 +280,131 @@ TEST_P(HqsAgreementLarger, MatchesExpansionOracle)
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, HqsAgreementLarger, ::testing::Range(0, 40));
+
+// ----- Theorem 1 as one pass -------------------------------------------------
+//
+// HqsSolver builds phi[0/x] & phi[1/x][y'/y] in one polled pass
+// (ElimKernel::eliminateForall with a renaming) and decides the copies from
+// the scan's occurrence counts.  The step it replaced took four walks: cof0,
+// cof1, support(cof1), then a substitution renaming only the dependers in
+// that support.
+
+/// The four-walk Theorem 1 step: @p copies pairs each depender y with its
+/// copy y'; only those in the support of phi[1/x] are renamed.
+AigEdge theorem1FourWalks(Aig& aig, AigEdge matrix, Var x,
+                          const std::vector<std::pair<Var, Var>>& copies)
+{
+    const AigEdge cof0 = aig.cofactor(matrix, x, false);
+    const AigEdge cof1 = aig.cofactor(matrix, x, true);
+    const std::vector<Var> supp1 = aig.support(cof1);
+    Substitution renaming;
+    for (const auto& [y, fresh] : copies) {
+        if (std::binary_search(supp1.begin(), supp1.end(), y)) renaming.set(y, aig.variable(fresh));
+    }
+    return aig.mkAnd(cof0, aig.substitute(cof1, renaming));
+}
+
+bool sameFunction(Aig& aig, AigEdge a, AigEdge b)
+{
+    const AigEdge diff = aig.mkXor(a, b);
+    if (aig.isConstant(diff)) return !aig.constantValue(diff);
+    SatSolver sat;
+    AigCnfBridge bridge(aig, sat);
+    return sat.solve({bridge.litFor(diff)}) == SolveResult::Unsat;
+}
+
+TEST(HqsTheorem1, OnePassMatchesTheFourWalkStep)
+{
+    std::size_t checked = 0;
+    for (std::uint64_t seed = 0; seed < 60; ++seed) {
+        Rng rng(seed * 7919 + 1);
+        const DqbfFormula f = randomDqbf(rng, 3 + static_cast<unsigned>(rng.below(2)),
+                                         4 + static_cast<unsigned>(rng.below(3)),
+                                         10 + static_cast<unsigned>(rng.below(15)));
+        Aig aig;
+        const AigEdge matrix = buildFromCnf(aig, f.matrix());
+        for (const Var x : f.universals()) {
+            ElimStats stats;
+            ElimKernel kernel(aig, matrix, ElimLimits{}, nullptr, stats);
+            const UnitPureInfo& scan = kernel.scan();
+            if (scan.occurrencesOf(x) == 0) continue;
+            Substitution renaming;
+            std::vector<std::pair<Var, Var>> copies;
+            for (const Var y : f.dependersOf(x)) {
+                if (scan.occurrencesOf(y) == 0) continue;
+                const Var fresh = 1000 + y;
+                renaming.set(y, aig.variable(fresh));
+                copies.emplace_back(y, fresh);
+            }
+            ASSERT_EQ(kernel.eliminateForall(x, &renaming), SolveResult::Unknown);
+            EXPECT_TRUE(sameFunction(aig, kernel.matrix(), theorem1FourWalks(aig, matrix, x, copies)))
+                << "seed " << seed << ", x = " << x;
+            ++checked;
+        }
+    }
+    EXPECT_GT(checked, 100u);
+}
+
+/// A random DQBF whose existentials each depend on a proper, non-empty
+/// subset of the universals, so the dependency graph is usually cyclic and
+/// HQS has to eliminate universals by Theorem 1.
+DqbfFormula henkinDqbf(Rng& rng)
+{
+    DqbfFormula f;
+    const unsigned nu = 3 + static_cast<unsigned>(rng.below(2));
+    const unsigned ne = 3 + static_cast<unsigned>(rng.below(3));
+    std::vector<Var> xs;
+    for (unsigned i = 0; i < nu; ++i) xs.push_back(f.addUniversal());
+    std::vector<Var> all = xs;
+    for (unsigned i = 0; i < ne; ++i) {
+        std::vector<Var> deps;
+        const std::size_t skip = rng.below(nu);
+        for (std::size_t j = 0; j < nu; ++j) {
+            if (j != skip && (deps.empty() || rng.flip())) deps.push_back(xs[j]);
+        }
+        all.push_back(f.addExistential(std::move(deps)));
+    }
+    const unsigned clauses = 4 + static_cast<unsigned>(rng.below(8));
+    for (unsigned c = 0; c < clauses; ++c) {
+        Clause cl;
+        for (unsigned j = 0; j < 2 + rng.below(2); ++j)
+            cl.push(Lit(all[rng.below(all.size())], rng.flip()));
+        f.matrix().addClause(std::move(cl));
+    }
+    return f;
+}
+
+TEST(HqsTheorem1, VerdictsMatchTheOracleAndEveryCertificateChecks)
+{
+    std::size_t withTheorem1 = 0;
+    std::size_t certified = 0;
+    for (std::uint64_t seed = 0; seed < 400; ++seed) {
+        Rng rng(seed * 6007 + 11);
+        const DqbfFormula f = henkinDqbf(rng);
+        const SolveResult expected = expansionDqbf(f);
+        ASSERT_TRUE(isConclusive(expected));
+        for (const bool simplify : {true, false}) {
+            HqsOptions opts;
+            opts.preprocess = simplify;
+            opts.gateDetection = simplify;
+            opts.unitPure = simplify;
+            opts.satProbe = simplify;
+            opts.computeSkolem = true;
+            HqsSolver solver(opts);
+            ASSERT_EQ(solver.solve(f), expected) << "seed " << seed;
+            if (solver.stats().universalsEliminated > 0) ++withTheorem1;
+            if (expected != SolveResult::Sat) continue;
+            ASSERT_TRUE(solver.skolemCertificate()) << "seed " << seed;
+            const cert::CheckResult check = cert::checkCertificateText(cert::toCertificateString(
+                cert::extractCertificate(f, *solver.skolemCertificate())));
+            EXPECT_TRUE(check.ok()) << "seed " << seed << ": " << cert::toString(check.status)
+                                    << " (" << check.detail << ")";
+            ++certified;
+        }
+    }
+    EXPECT_GT(withTheorem1, 150u) << withTheorem1;
+    EXPECT_GT(certified, 100u) << certified;
+}
 
 } // namespace
 } // namespace hqs
