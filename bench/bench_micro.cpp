@@ -1,8 +1,9 @@
-// Microbenchmarks (google-benchmark) for the substrates: AIG construction
-// and quantification, the dense strash hit path, Substitution-based
-// composition, mark-and-compact garbage collection, the Theorem-6
-// unit/pure traversal and the kernel's batched unit/pure pass, FRAIG sweeping, the CDCL SAT solver, the partial
-// MaxSAT selection, the end-to-end PEC encoding, the request front half
+// Microbenchmarks (google-benchmark) for the substrates: AIG construction,
+// cofactoring, the elimination rebuild and its dependent-cone counts (on
+// cones whose size is the argument), the dense strash hit path,
+// Substitution-based composition, mark-and-compact garbage collection, the
+// Theorem-6 unit/pure traversal and the kernel's batched unit/pure pass,
+// FRAIG sweeping, the CDCL SAT solver, the partial MaxSAT selection, the end-to-end PEC encoding, the request front half
 // (DQDIMACS parse, canonical key, formula hash), and the disarmed cost of
 // the fault/observability hooks.
 //
@@ -93,10 +94,11 @@ AigEdge chainCone(Aig& aig, unsigned vars, unsigned gates, std::uint64_t seed)
 void BM_AigCofactor(benchmark::State& state)
 {
     Aig aig;
-    const AigEdge root = randomCone(aig, 32, static_cast<unsigned>(state.range(0)), 7);
+    const AigEdge root = chainCone(aig, 32, static_cast<unsigned>(state.range(0)), 7);
     for (auto _ : state) {
         benchmark::DoNotOptimize(aig.cofactor(root, 5, true));
     }
+    state.counters["cone"] = static_cast<double>(aig.coneSize(root));
 }
 BENCHMARK(BM_AigCofactor)->Arg(1000)->Arg(10000)->Arg(100000);
 
@@ -120,15 +122,24 @@ void BM_AigCofactorPair(benchmark::State& state)
 }
 BENCHMARK(BM_AigCofactorPair)->Arg(1000)->Arg(10000)->Arg(100000);
 
-void BM_AigQuantifyExistential(benchmark::State& state)
+void BM_DependentCounts(benchmark::State& state)
 {
+    // The backend's order trial prices its candidates with dependent-cone
+    // counts: 64 candidates in one ascending pass over the scan's cone list.
     Aig aig;
-    const AigEdge root = randomCone(aig, 32, static_cast<unsigned>(state.range(0)), 11);
+    const AigEdge root = chainCone(aig, 64, static_cast<unsigned>(state.range(0)), 41);
+    const UnitPureInfo scan = aig.detectUnitPure(root);
+    std::vector<Var> candidates;
+    for (Var v = 0; v < 64; ++v) candidates.push_back(v);
+    std::vector<std::uint32_t> counts;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(aig.existsVar(root, 3));
+        aig.dependentCounts(scan.cone, candidates, counts);
+        benchmark::DoNotOptimize(counts.data());
     }
+    state.counters["cone"] = static_cast<double>(scan.coneSize);
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(scan.coneSize));
 }
-BENCHMARK(BM_AigQuantifyExistential)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_DependentCounts)->Arg(1000)->Arg(10000)->Arg(100000);
 
 void BM_StrashHitLookup(benchmark::State& state)
 {
@@ -164,13 +175,14 @@ void BM_AigSubstitute(benchmark::State& state)
     // iteration the image nodes exist, so this measures the steady-state
     // rebuild a Theorem-1 renaming pays.
     Aig aig;
-    const AigEdge root = randomCone(aig, 32, static_cast<unsigned>(state.range(0)), 23);
+    const AigEdge root = chainCone(aig, 32, static_cast<unsigned>(state.range(0)), 23);
     for (auto _ : state) {
         Substitution& sub = aig.scratchSubstitution();
         for (Var v = 0; v < 8; ++v)
             sub.set(v, aig.variable(v + 8) ^ ((v & 1) != 0));
         benchmark::DoNotOptimize(aig.substitute(root, sub));
     }
+    state.counters["cone"] = static_cast<double>(aig.coneSize(root));
 }
 BENCHMARK(BM_AigSubstitute)->Arg(1000)->Arg(10000);
 
@@ -197,10 +209,11 @@ void BM_UnitPureDetection(benchmark::State& state)
     // The paper reports the Theorem-6 traversal at O(|phi| + |V|) and < 4%
     // of runtime; this measures the raw traversal.
     Aig aig;
-    const AigEdge root = randomCone(aig, 64, static_cast<unsigned>(state.range(0)), 13);
+    const AigEdge root = chainCone(aig, 64, static_cast<unsigned>(state.range(0)), 13);
     for (auto _ : state) {
         benchmark::DoNotOptimize(aig.detectUnitPure(root));
     }
+    state.counters["cone"] = static_cast<double>(aig.coneSize(root));
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_UnitPureDetection)->Arg(1000)->Arg(10000)->Arg(100000);

@@ -361,6 +361,8 @@ int main(int argc, char** argv)
                       << " existential (Thm 2), " << st->unitEliminations << " unit + "
                       << st->pureEliminations << " pure (Thm 5/6, "
                       << st->unitPureMilliseconds << " ms)\n"
+                      << "c backend order       : " << st->qbfStats.orderTrials
+                      << " trials, " << st->qbfStats.orderCapped << " capped\n"
                       << "c existential copies  : " << st->copiesIntroduced << "\n"
                       << "c peak AIG nodes      : " << st->peakConeSize << "\n"
                       << "c total time          : " << st->totalMilliseconds << " ms\n";

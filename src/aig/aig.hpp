@@ -27,8 +27,11 @@
 //     topological cone list — the one the Theorem-6 scan records — that
 //     builds phi[0/v] and phi[1/v] together, both images of a node packed
 //     into one 64-bit traversal slot: no DFS stack, no "fanin done?"
-//     checks.  The DFS rebuild stays only for callers without a scan
-//     (certificates, Skolem reconstruction, iDQ, gate composition);
+//     checks.  An optional allocation cap stops it early, for the QBF
+//     backend's order trial, and dependentCounts prices a candidate
+//     variable over the same list.  The DFS rebuild stays only for callers
+//     without a scan (certificates, Skolem reconstruction, iDQ, gate
+//     composition);
 //   * there is no cross-call compose/cofactor cache: each elimination
 //     cofactors a fresh (variable, constant) pair, so entries would never
 //     repeat within a solve;
@@ -37,8 +40,8 @@
 //     the registered AigEdge handles are rewired through a remap table.
 //
 // On top of the core the manager provides the operations HQS needs:
-// cofactor/compose/parallel substitution (quantify.cpp), single-variable
-// existential and universal quantification, support computation,
+// cofactor/compose/parallel substitution and the elimination rebuild with
+// its dependent-cone counts (quantify.cpp), support computation,
 // evaluation, the Theorem-6 syntactic unit/pure detection (unit_pure.cpp),
 // and a CNF bridge (cnf_bridge.hpp).
 //
@@ -48,6 +51,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <iosfwd>
+#include <limits>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -239,18 +243,26 @@ public:
     /// phi[1/v][renameHigh], Theorem 1's renamed cofactor.  Polls
     /// @p deadline every kDeadlinePollNodes steps; once it has expired both
     /// edges come back invalid and the partial copies are garbage for the
-    /// next collection.
+    /// next collection.  With @p cap the pass also stops, edges invalid,
+    /// as soon as it has allocated more than @p cap nodes (so at most
+    /// cap + 1).  The two stops are told apart by the allocation: only a
+    /// capped stop leaves more than @p cap new nodes.
     std::pair<AigEdge, AigEdge> cofactorPair(AigEdge root, Var v,
                                              const std::vector<std::uint32_t>& cone,
                                              const Deadline& deadline,
-                                             const Substitution* renameHigh = nullptr);
+                                             const Substitution* renameHigh = nullptr,
+                                             std::size_t cap = kNoCap);
     static constexpr std::uint32_t kDeadlinePollNodes = 4096;
+    static constexpr std::size_t kNoCap = std::numeric_limits<std::size_t>::max();
+    /// Dependent cones: out[i] = the number of AND nodes in @p cone (a
+    /// UnitPureInfo::cone list) whose support contains @p candidates[i].
+    /// One ascending pass per 64 candidates ORs 64-bit fanin masks in the
+    /// traversal slots.
+    void dependentCounts(const std::vector<std::uint32_t>& cone,
+                         const std::vector<Var>& candidates,
+                         std::vector<std::uint32_t>& out);
     /// Simultaneous substitution var -> function for every entry of @p sub.
     AigEdge substitute(AigEdge root, const Substitution& sub);
-    /// ∃v. phi  =  phi[0/v] | phi[1/v].
-    AigEdge existsVar(AigEdge root, Var v);
-    /// ∀v. phi  =  phi[0/v] & phi[1/v].
-    AigEdge forallVar(AigEdge root, Var v);
 
     /// Manager-owned scratch Substitution, cleared on every call.  The
     /// returned reference stays valid until the manager dies; do not nest

@@ -1,4 +1,4 @@
-// Substitution, cofactoring, and single-variable quantification on AIGs.
+// Substitution, cofactoring and the elimination rebuild on AIGs.
 //
 // Every rebuild goes through one per-node step, rebuildAnd: a node whose
 // fanins come back unchanged is kept without calling mkAnd, any other is
@@ -8,12 +8,12 @@
 // DFS of substituteImpl serves callers without such a list.  Memoization
 // lives in the manager's generation-stamped TraversalCache and lasts one
 // call (no heap allocation on the hot path; see aig.hpp for why there is no
-// cross-call cache).
-// existsVar/forallVar realize ∃v.phi = phi[0/v] | phi[1/v] and
-// ∀v.phi = phi[0/v] & phi[1/v] with two DFS cofactors; the elimination
-// kernel (ElimKernel) builds the same pairs with cofactorPair.
+// cross-call cache).  dependentCounts runs up the same cone list to price
+// an elimination before it is built: the nodes that depend on v are the
+// nodes its cofactor pair can rebuild.
 #include "src/aig/aig.hpp"
 
+#include <bit>
 #include <cassert>
 
 namespace hqs {
@@ -126,7 +126,7 @@ AigEdge highImage(std::uint64_t slot)
 std::pair<AigEdge, AigEdge> Aig::cofactorPair(AigEdge root, Var v,
                                               const std::vector<std::uint32_t>& cone,
                                               const Deadline& deadline,
-                                              const Substitution* renameHigh)
+                                              const Substitution* renameHigh, std::size_t cap)
 {
     assert(cone.empty() ? isConstant(root) : cone.front() == root.nodeIndex());
     assert(!renameHigh || !renameHigh->maps(v));
@@ -138,6 +138,9 @@ std::pair<AigEdge, AigEdge> Aig::cofactorPair(AigEdge root, Var v,
     trav_.reset(nodes_.size());
     std::vector<std::uint64_t>& slot = trav_.slot;
     slot[0] = packPair(constFalse(), constFalse());
+    // mkAnd allocates at most one node, so checking after every image stops
+    // the pass at cap + 1 new nodes.
+    const std::size_t capEnd = cap < kNoCap - nodes_.size() ? nodes_.size() + cap : kNoCap;
     std::uint32_t steps = 0;
     for (auto it = cone.rbegin(); it != cone.rend(); ++it) {
         const std::uint32_t idx = *it;
@@ -158,7 +161,9 @@ std::pair<AigEdge, AigEdge> Aig::cofactorPair(AigEdge root, Var v,
         const std::uint64_t s1 = slot[n.fanin1.nodeIndex()];
         ++stats_.rebuildVisits;
         const AigEdge lo = rebuildAnd(idx, lowImage(s0), lowImage(s1));
+        if (nodes_.size() > capEnd) return {AigEdge(), AigEdge()};
         const AigEdge hi = rebuildAnd(idx, highImage(s0), highImage(s1));
+        if (nodes_.size() > capEnd) return {AigEdge(), AigEdge()};
         slot[idx] = packPair(lo, hi);
         if (++steps % kDeadlinePollNodes == 0 && deadline.expired()) return {AigEdge(), AigEdge()};
     }
@@ -166,14 +171,38 @@ std::pair<AigEdge, AigEdge> Aig::cofactorPair(AigEdge root, Var v,
     return {lowImage(top) ^ root.complemented(), highImage(top) ^ root.complemented()};
 }
 
-AigEdge Aig::existsVar(AigEdge root, Var v)
+void Aig::dependentCounts(const std::vector<std::uint32_t>& cone,
+                          const std::vector<Var>& candidates, std::vector<std::uint32_t>& out)
 {
-    return mkOr(cofactor(root, v, false), cofactor(root, v, true));
-}
-
-AigEdge Aig::forallVar(AigEdge root, Var v)
-{
-    return mkAnd(cofactor(root, v, false), cofactor(root, v, true));
+    out.assign(candidates.size(), 0);
+    std::vector<std::uint64_t>& slot = trav_.slot;
+    for (std::size_t base = 0; base < candidates.size(); base += 64) {
+        // Stamp this pass's candidate inputs with their bits; every other
+        // slot the pass reads is written by the pass first.
+        const std::size_t n = std::min<std::size_t>(64, candidates.size() - base);
+        trav_.reset(nodes_.size());
+        bool any = false;
+        for (std::size_t i = 0; i < n; ++i) {
+            const auto input = inputOfVar_.find(candidates[base + i]);
+            if (input == inputOfVar_.end()) continue;
+            trav_.orBits(input->second, std::uint64_t{1} << i);
+            any = true;
+        }
+        if (!any) continue;
+        slot[0] = 0;
+        std::uint32_t* counts = out.data() + base;
+        for (auto it = cone.rbegin(); it != cone.rend(); ++it) {
+            const std::uint32_t idx = *it;
+            const Node& nd = nodes_[idx];
+            if (nd.extVar != kNoVar) {
+                if (!trav_.has(idx)) slot[idx] = 0;
+                continue;
+            }
+            std::uint64_t mask = slot[nd.fanin0.nodeIndex()] | slot[nd.fanin1.nodeIndex()];
+            slot[idx] = mask;
+            for (; mask != 0; mask &= mask - 1) ++counts[std::countr_zero(mask)];
+        }
+    }
 }
 
 } // namespace hqs

@@ -1,6 +1,7 @@
 #include "src/qbf/aig_qbf_solver.hpp"
 
-#include <limits>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "src/aig/cnf_bridge.hpp"
@@ -9,6 +10,25 @@
 #include "src/sat/sat_solver.hpp"
 
 namespace hqs {
+
+namespace {
+
+/// The measure that orders the rest of the innermost block (see the header).
+enum class Measure { Undecided, Occurrences, DependentCone };
+
+/// The i < n with the smallest key(i); ties go to the earliest, i.e. to
+/// block order.
+template <class Key>
+std::size_t argmin(std::size_t n, Key&& key)
+{
+    std::size_t best = 0;
+    for (std::size_t i = 1; i < n; ++i) {
+        if (key(i) < key(best)) best = i;
+    }
+    return best;
+}
+
+} // namespace
 
 SolveResult AigQbfSolver::solve(Aig& aig, AigEdge root, QbfPrefix prefix)
 {
@@ -19,42 +39,83 @@ SolveResult AigQbfSolver::solve(Aig& aig, AigEdge root, QbfPrefix prefix)
     AigEdge& matrix = kernel.matrix();
     const PrefixOps ops = prefixOps(prefix);
 
+    Measure measure = Measure::Undecided;
+    std::size_t blocksSeen = prefix.numBlocks();
+    std::vector<Var> candidates;
+    std::vector<Var> unsupported;
+    std::vector<std::uint32_t> dependents;
+
     kernel.trackPeak();
     if (SolveResult r = kernel.unitPurePass(ops); r != SolveResult::Unknown) return r;
 
     while (!prefix.empty() && !kernel.isConstant()) {
         if (SolveResult r = kernel.housekeeping(); r != SolveResult::Unknown) return r;
-
-        const QbfBlock& block = prefix.blocks().back();
-        const UnitPureInfo& scan = kernel.scan();
-
-        // Drop block variables that no longer occur; pick the cheapest
-        // occurring one.
-        Var pick = kNoVar;
-        std::uint32_t best = std::numeric_limits<std::uint32_t>::max();
-        std::vector<Var> unsupported;
-        for (Var v : block.vars) {
-            const std::uint32_t count = scan.occurrencesOf(v);
-            if (count == 0) {
-                unsupported.push_back(v);
-            } else if (count < best) {
-                best = count;
-                pick = v;
-            }
+        // A new innermost block decides its measure afresh.
+        if (prefix.numBlocks() != blocksSeen) {
+            blocksSeen = prefix.numBlocks();
+            measure = Measure::Undecided;
         }
-        for (Var v : unsupported) kernel.dropUnsupported(v, ops);
-        if (pick == kNoVar) continue; // whole block vanished
 
-        if (prefix.kindOf(pick) == QuantKind::Exists) {
-            if (SolveResult r = kernel.eliminateExists(pick); r != SolveResult::Unknown) return r;
+        // Drop block variables that no longer occur; the rest are the
+        // candidates, in block order.
+        const UnitPureInfo& scan = kernel.scan();
+        const QuantKind kind = prefix.blocks().back().kind;
+        candidates.clear();
+        unsupported.clear();
+        for (Var v : prefix.blocks().back().vars)
+            (scan.occurrencesOf(v) == 0 ? unsupported : candidates).push_back(v);
+        for (Var v : unsupported) kernel.dropUnsupported(v, ops);
+        if (candidates.empty()) continue; // whole block vanished
+
+        // Candidate A: fewest occurrences.  Candidate B: smallest dependent
+        // cone, ties by occurrences.
+        const auto occurrences = [&](std::size_t i) { return scan.occurrencesOf(candidates[i]); };
+        const std::size_t a = argmin(candidates.size(), occurrences);
+        std::size_t b = a;
+        if (measure != Measure::Occurrences) {
+            aig.dependentCounts(scan.cone, candidates, dependents);
+            b = argmin(candidates.size(),
+                       [&](std::size_t i) { return std::pair(dependents[i], occurrences(i)); });
+        }
+
+        BuiltElimination kept;
+        if (measure == Measure::Undecided && a != b) {
+            // The trial: A in full, then B capped where it can no longer
+            // come out smaller; the smaller result orders the rest of the
+            // block.
+            if (SolveResult r = kernel.build(candidates[a], kind, kept);
+                r != SolveResult::Unknown)
+                return r;
+            const std::size_t coneA = aig.coneSize(kept.matrix);
+            const std::size_t untouched = scan.coneSize - dependents[b];
+            BuiltElimination trial;
+            if (SolveResult r = kernel.build(candidates[b], kind, trial,
+                                             coneA > untouched ? coneA - untouched : 0);
+                r != SolveResult::Unknown)
+                return r;
+            ++stats_.orderTrials;
+            OBS_COUNT("qbf.order.trials", 1);
+            if (!trial.built()) {
+                ++stats_.orderCapped;
+                OBS_COUNT("qbf.order.capped", 1);
+            }
+            const bool bWins = trial.built() && aig.coneSize(trial.matrix) < coneA;
+            measure = bWins ? Measure::DependentCone : Measure::Occurrences;
+            if (bWins) kept = trial;
+        } else {
+            const Var pick = candidates[measure == Measure::DependentCone ? b : a];
+            if (SolveResult r = kernel.build(pick, kind, kept); r != SolveResult::Unknown) return r;
+        }
+        kernel.commit(kept);
+
+        if (kind == QuantKind::Exists) {
             ++stats_.existentialEliminations;
             OBS_COUNT("qbf.elim.existential", 1);
         } else {
-            if (SolveResult r = kernel.eliminateForall(pick); r != SolveResult::Unknown) return r;
             ++stats_.universalEliminations;
             OBS_COUNT("qbf.elim.universal", 1);
         }
-        prefix.removeVar(pick);
+        prefix.removeVar(kept.var);
         kernel.trackPeak();
 
         if (SolveResult r = kernel.unitPurePass(ops); r != SolveResult::Unknown) return r;

@@ -7,6 +7,22 @@
 // collection of the DQBF loop: both loops run on ElimKernel.  The matrix
 // lives in a caller-provided Aig manager, so HQS can "feed the remaining AIG
 // directly into this solver" exactly as the paper describes.
+//
+// The elimination order within a block is picked by a measured trial
+// (DESIGN §14).  Two measures name a candidate each step:
+//   * A: the variable with the fewest occurrences (AND nodes reading it);
+//   * B: the variable with the smallest dependent cone (AND nodes whose
+//     support contains it, Aig::dependentCounts), ties by occurrences.
+// Ties then fall to block order.  At the first step of a block where A and
+// B differ, the solver builds A's elimination in full and B's with a cap
+// on its cofactor pass: B's untouched nodes (cone − dep(B)) stay shared,
+// so once B has allocated more than cone(A) − (cone − dep(B)) new nodes it
+// is not expected to come out smaller, and the pass stops.  The smaller
+// result is committed and its measure orders the rest of the block; the
+// loser's nodes are garbage.  Only the committed elimination reaches the
+// Skolem recorder (one Exists record per eliminated existential) and the
+// qbf.elim.* counters; qbf.order.trials and qbf.order.capped count the
+// trials and the capped B builds.
 #pragma once
 
 #include <cstddef>
@@ -28,6 +44,8 @@ struct AigQbfOptions : ElimLimits {
 struct AigQbfStats : ElimStats {
     std::size_t existentialEliminations = 0;
     std::size_t universalEliminations = 0;
+    std::size_t orderTrials = 0; ///< blocks whose order a trial decided
+    std::size_t orderCapped = 0; ///< trials whose candidate B hit its cap
 };
 
 class AigQbfSolver {

@@ -148,32 +148,52 @@ SolveResult ElimKernel::unitPurePass(const PrefixOps& prefix)
     return SolveResult::Unknown;
 }
 
-std::optional<std::pair<AigEdge, AigEdge>> ElimKernel::cofactors(Var v,
-                                                                  const Substitution* renameHigh)
+SolveResult ElimKernel::build(Var v, QuantKind kind, BuiltElimination& out, std::size_t cap,
+                              const Substitution* renameHigh)
 {
+    out = BuiltElimination{v, kind, AigEdge(), AigEdge()};
     // Both cofactors in one pass over the cone list the scan recorded.  One
     // pass over a large cone can take longer than the whole budget, so it
     // polls the deadline itself.
-    const auto cofs = aig_.cofactorPair(matrix_, v, scan().cone, limits_.deadline, renameHigh);
-    if (!cofs.first.isValid()) return std::nullopt;
-    return cofs;
+    const std::size_t before = aig_.numNodes();
+    const auto [lo, hi] =
+        aig_.cofactorPair(matrix_, v, scan().cone, limits_.deadline, renameHigh, cap);
+    if (!lo.isValid()) {
+        // Only a capped stop leaves more than cap new nodes behind.
+        if (aig_.numNodes() - before > cap) return SolveResult::Unknown;
+        return deadlineExceededResult(limits_.deadline);
+    }
+    out.matrix = kind == QuantKind::Exists ? aig_.mkOr(lo, hi) : aig_.mkAnd(lo, hi);
+    out.high = hi;
+    return SolveResult::Unknown;
+}
+
+void ElimKernel::commit(const BuiltElimination& e)
+{
+    if (recorder_ && e.kind == QuantKind::Exists) {
+        recorder_->record(SkolemRecorder::Exists{e.var, e.high});
+    }
+    matrix_ = e.matrix;
+}
+
+SolveResult ElimKernel::eliminate(Var v, QuantKind kind, const Substitution* renameHigh)
+{
+    BuiltElimination e;
+    if (SolveResult r = build(v, kind, e, Aig::kNoCap, renameHigh); r != SolveResult::Unknown) {
+        return r;
+    }
+    commit(e);
+    return SolveResult::Unknown;
 }
 
 SolveResult ElimKernel::eliminateExists(Var v)
 {
-    const auto cofs = cofactors(v);
-    if (!cofs) return deadlineExceededResult(limits_.deadline);
-    if (recorder_) recorder_->record(SkolemRecorder::Exists{v, cofs->second});
-    matrix_ = aig_.mkOr(cofs->first, cofs->second);
-    return SolveResult::Unknown;
+    return eliminate(v, QuantKind::Exists, nullptr);
 }
 
 SolveResult ElimKernel::eliminateForall(Var v, const Substitution* renameHigh)
 {
-    const auto cofs = cofactors(v, renameHigh);
-    if (!cofs) return deadlineExceededResult(limits_.deadline);
-    matrix_ = aig_.mkAnd(cofs->first, cofs->second);
-    return SolveResult::Unknown;
+    return eliminate(v, QuantKind::Forall, renameHigh);
 }
 
 void ElimKernel::dropUnsupported(Var v, const PrefixOps& prefix)

@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
-#include <utility>
 
 #include "src/aig/aig.hpp"
 #include "src/base/result.hpp"
@@ -56,6 +55,19 @@ struct PrefixOps {
 /// PrefixOps over a linear QBF prefix; @p prefix must outlive the result.
 PrefixOps prefixOps(QbfPrefix& prefix);
 
+/// One elimination built by ElimKernel::build and not applied yet.
+struct BuiltElimination {
+    Var var = kNoVar;
+    QuantKind kind = QuantKind::Exists;
+    /// The matrix after the elimination; invalid when the build stopped at
+    /// its cap.
+    AigEdge matrix;
+    /// phi[1/var] (renamed for Theorem 1), an existential's Skolem record.
+    AigEdge high;
+
+    bool built() const { return matrix.isValid(); }
+};
+
 class ElimKernel {
 public:
     /// @p recorder (optional) and @p stats must outlive the kernel.
@@ -94,24 +106,35 @@ public:
     /// applied whole through one substitution.  Unsat on a universal unit,
     /// Unknown otherwise.
     SolveResult unitPurePass(const PrefixOps& prefix);
-    /// ∃v.phi = phi[0/v] | phi[1/v], recording phi[1/v] for Skolem
-    /// reconstruction.  Unknown when done, and the caller removes @p v from
-    /// its prefix; the deadline result, matrix unchanged, when the deadline
-    /// expires inside a cofactor rebuild.
+    /// Build ∃v.phi = phi[0/v] | phi[1/v] (@p kind Exists) or
+    /// ∀v.phi = phi[0/v] & phi[1/v] (Forall) into @p out without applying
+    /// it: the matrix and the Skolem trace stay as they are.  With
+    /// @p renameHigh the second cofactor is phi[1/v][renameHigh]: Theorem
+    /// 1's phi[0/x] & phi[1/x][y'/y], still one pass.  With @p cap the
+    /// cofactor pass stops once it has allocated more than @p cap nodes
+    /// (Aig::cofactorPair) and @p out comes back unbuilt.  Unknown when
+    /// built or capped; the deadline result when the deadline expires
+    /// inside the rebuild.  A losing build is garbage for the next
+    /// collection.
+    SolveResult build(Var v, QuantKind kind, BuiltElimination& out,
+                      std::size_t cap = Aig::kNoCap, const Substitution* renameHigh = nullptr);
+    /// Apply @p e, built from the current matrix: the matrix becomes
+    /// e.matrix, and an existential gets its one Exists record (phi[1/v])
+    /// for Skolem reconstruction.  The caller removes e.var from its prefix.
+    void commit(const BuiltElimination& e);
+    /// build + commit of ∃v: Unknown when done; the deadline result, matrix
+    /// unchanged, when the deadline expires inside the rebuild.
     SolveResult eliminateExists(Var v);
-    /// ∀v.phi = phi[0/v] & phi[1/v]; results as for eliminateExists.
-    /// With @p renameHigh the second conjunct is phi[1/v][renameHigh]:
-    /// Theorem 1's phi[0/x] & phi[1/x][y'/y], still one pass.
+    /// build + commit of ∀v (with @p renameHigh as for build); results as
+    /// for eliminateExists.
     SolveResult eliminateForall(Var v, const Substitution* renameHigh = nullptr);
     /// Remove @p v, absent from the matrix, from the prefix; an existential
     /// is pinned to false in the Skolem trace.
     void dropUnsupported(Var v, const PrefixOps& prefix);
 
 private:
-    /// phi[0/v] and phi[1/v][renameHigh] under the deadline (nullopt once
-    /// it expires), one pass over scan().cone.
-    std::optional<std::pair<AigEdge, AigEdge>> cofactors(Var v,
-                                                         const Substitution* renameHigh = nullptr);
+    /// build + commit without a cap.
+    SolveResult eliminate(Var v, QuantKind kind, const Substitution* renameHigh);
     /// Mark-compact, keeping the matrix and the recorder's cofactors.
     void collectGarbage();
     /// FRAIG-reduce the matrix; returns the swept cone's size.

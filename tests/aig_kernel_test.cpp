@@ -1104,8 +1104,11 @@ TEST(AigKernel, ScanCacheMatchesFreshWalksAcrossEveryMatrixChange)
 
     kernel.eliminateExists(0);
     expectFresh("eliminateExists");
-    kernel.matrix() = aig.forallVar(kernel.matrix(), 1);
-    expectFresh("forallVar");
+    BuiltElimination forall1;
+    ASSERT_EQ(kernel.build(1, QuantKind::Forall, forall1), SolveResult::Unknown);
+    ASSERT_TRUE(forall1.built());
+    kernel.commit(forall1);
+    expectFresh("build + commit");
     Substitution sub;
     sub.set(2, aig.mkAnd(aig.variable(3), aig.variable(4)));
     sub.set(5, ~aig.variable(6));
