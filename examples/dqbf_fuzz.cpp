@@ -3,17 +3,22 @@
 //   dqbf_fuzz [count=200] [seed=1] [--verbose]
 //
 // For each round, generate a random small DQBF and require that HQS (in
-// several configurations), the iDQ-style baseline, and the full-expansion
-// oracle agree; when SAT, additionally extract a Skolem certificate from
-// the HQS elimination trace and verify it independently.  Exit code 0 iff
-// no discrepancy was found.  This is the same harness the unit tests use,
-// packaged as a tool for long soak runs.
+// several configurations), the iDQ-style baseline, the CEGAR engine and the
+// full-expansion oracle agree.  Every SAT answer from a certifying engine
+// (hqs with Skolem recording, idq, cegar) must carry a certificate that the
+// independent checker behind dqbf_check accepts: extract, serialize, then
+// cert::checkCertificateText.  Exit code 0 iff no discrepancy was found.
+// This is the same harness the unit tests use, packaged as a tool for long
+// soak runs.
 #include <cstdio>
 #include <iostream>
 #include <cstdlib>
 #include <string>
 
 #include "src/base/rng.hpp"
+#include "src/cegar/cegar_solver.hpp"
+#include "src/cert/certificate.hpp"
+#include "src/cert/extract.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
 #include "src/idq/idq_solver.hpp"
@@ -62,7 +67,7 @@ int main(int argc, char** argv)
     }
 
     Rng rng(seed);
-    unsigned sat = 0, unsat = 0, failures = 0;
+    unsigned sat = 0, unsat = 0, certified = 0, failures = 0;
     for (unsigned round = 0; round < count; ++round) {
         DqbfFormula f = randomDqbf(rng);
         const SolveResult expected = expansionDqbf(f);
@@ -73,6 +78,23 @@ int main(int argc, char** argv)
             if (got != expected) {
                 std::printf("round %u: %s says %s, oracle says %s\n", round, name,
                             toString(got).c_str(), toString(expected).c_str());
+                writeDqdimacs(std::cout, f.toParsed());
+                ++failures;
+            }
+        };
+
+        // A SAT verdict of a certifying engine must come with a certificate
+        // the independent checker accepts.
+        auto checkCertificate = [&](const char* name, const auto& solver) {
+            if (expected != SolveResult::Sat) return;
+            const bool ok = solver.skolemCertificate() &&
+                            cert::checkCertificateText(
+                                cert::toCertificateString(
+                                    cert::extractCertificate(f, *solver.skolemCertificate())))
+                                .ok();
+            certified += ok;
+            if (!ok) {
+                std::printf("round %u: INVALID %s certificate\n", round, name);
                 writeDqdimacs(std::cout, f.toParsed());
                 ++failures;
             }
@@ -90,24 +112,25 @@ int main(int argc, char** argv)
             opts.computeSkolem = true;
             HqsSolver solver(opts);
             check("hqs+skolem", solver.solve(f));
-            if (expected == SolveResult::Sat) {
-                if (!solver.skolemCertificate() ||
-                    !verifyAigSkolemCertificate(f, *solver.skolemCertificate())) {
-                    std::printf("round %u: INVALID skolem certificate\n", round);
-                    writeDqdimacs(std::cout, f.toParsed());
-                    ++failures;
-                }
-            }
+            checkCertificate("hqs", solver);
         }
         {
             IdqSolver solver;
             check("idq", solver.solve(f));
+            checkCertificate("idq", solver);
+        }
+        {
+            CegarOptions opts;
+            opts.computeSkolem = true;
+            CegarSolver solver(opts);
+            check("cegar", solver.solve(f));
+            checkCertificate("cegar", solver);
         }
         if (verbose && round % 50 == 0) {
             std::printf("round %u: %u sat / %u unsat so far\n", round, sat, unsat);
         }
     }
-    std::printf("fuzzed %u rounds (%u SAT, %u UNSAT): %u failures\n", count, sat, unsat,
-                failures);
+    std::printf("fuzzed %u rounds (%u SAT, %u UNSAT, %u certificates checked): %u failures\n",
+                count, sat, unsat, certified, failures);
     return failures == 0 ? 0 : 1;
 }

@@ -26,13 +26,13 @@
 //   --skolem              on SAT, compute Skolem functions, round-trip them
 //                         through the certification subsystem (extract ->
 //                         serialize -> independent check), and summarize
-//                         them (hqs and cegar engines only)
+//                         them (hqs, cegar and idq engines only)
 //   --skolem=FILE         additionally dump the reconstructed functions as
 //                         ASCII AIGER (aag) to FILE
 //   --certify=FILE        write a self-contained certificate artifact to
-//                         FILE on SAT (hqs, cegar and portfolio engines); the
-//                         artifact is self-checked through the independent
-//                         parser+checker before it is reported
+//                         FILE on SAT (hqs, cegar, idq and portfolio
+//                         engines); the artifact is self-checked through the
+//                         independent parser+checker before it is reported
 //   --rss-limit=MB        guard the run with an RSS watchdog: cooperative
 //                         MEMOUT when process RSS crosses MB
 //   --strategy=FILE       solve under a strategy spec (JSON): --portfolio
@@ -277,7 +277,8 @@ int main(int argc, char** argv)
     // --skolem asks the Skolem-producing engines for a certificate as well.
     api::SolveRequest execRequest = request;
     if (skolem && (spec.kind == api::EngineSpec::Kind::Hqs ||
-                   spec.kind == api::EngineSpec::Kind::Cegar))
+                   spec.kind == api::EngineSpec::Kind::Cegar ||
+                   spec.kind == api::EngineSpec::Kind::Idq))
         execRequest.certify = true;
     // The engine runs guarded: exceptions become a structured `c failure`
     // line, and --rss-limit arms the cooperative-memout watchdog.

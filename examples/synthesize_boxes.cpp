@@ -46,9 +46,8 @@ int main(int argc, char** argv)
     std::cout << "Instance " << inst.name << ": " << inst.impl.numBoxes()
               << " black boxes to synthesize\n\n";
 
-    // Skolem functions reconstructed from HQS's own elimination trace (the
-    // expansion-based synthesizeBoxes() exists too, but this scales).
-    const auto boxes = synthesizeBoxesWithHqs(inst);
+    // Skolem functions reconstructed from HQS's own elimination trace.
+    const auto boxes = synthesizeBoxes(inst);
     if (!boxes) {
         std::cout << "not realizable — nothing to synthesize\n";
         return 1;
@@ -88,8 +87,8 @@ int main(int argc, char** argv)
     // those (up to don't-cares the solver was free to fill).
     const PecInstance broken = makeInstance(Family::Adder, 4, false);
     std::cout << "\nFor contrast, " << broken.name << " (boxes cannot see the carry): "
-              << (synthesizeBoxesWithHqs(broken) ? "synthesized (unexpected!)"
-                                                 : "correctly reported unrealizable")
+              << (synthesizeBoxes(broken) ? "synthesized (unexpected!)"
+                                          : "correctly reported unrealizable")
               << '\n';
     return ok ? 0 : 1;
 }

@@ -14,12 +14,13 @@ std::uint64_t mix(std::uint64_t a, std::uint64_t b, std::uint64_t c)
     h *= 0xbf58476d1ce4e5b9ull;
     h ^= c + 0x94d049bbu + (h << 6) + (h >> 2);
     h *= 0x94d049bb133111ebull;
-    return h;
+    return h ^ (h >> 32); // the tables index by the low bits
 }
 
 } // namespace
 
 Bdd::Bdd()
+    : unique_(std::size_t{1} << 10, 0u), cache_(kMinCacheSlots, CacheEntry{kEmpty, 0, 0, 0})
 {
     nodes_.push_back(Node{kNoVar, BddRef(), BddRef()}); // 0: false
     nodes_.push_back(Node{kNoVar, BddRef(), BddRef()}); // 1: true
@@ -28,33 +29,43 @@ Bdd::Bdd()
 BddRef Bdd::mkNode(Var v, BddRef low, BddRef high)
 {
     if (low == high) return low;
-    const std::uint64_t key = mix(v, low.index(), high.index());
-    auto [it, inserted] = unique_.try_emplace(key, 0);
-    if (!inserted) {
-        // Verify (lossless table required for canonicity): on the rare
-        // collision, fall back to a linear check over the bucket chain by
-        // re-probing with a salted key.
-        const Node& n = nodes_[it->second];
-        if (n.var == v && n.low == low && n.high == high) return BddRef(it->second);
-        std::uint64_t salted = key;
-        for (;;) {
-            salted = mix(salted, 0x5bd1e995u, v);
-            auto [it2, ins2] = unique_.try_emplace(salted, 0);
-            if (!ins2) {
-                const Node& m = nodes_[it2->second];
-                if (m.var == v && m.low == low && m.high == high) return BddRef(it2->second);
-                continue;
-            }
-            const auto idx = static_cast<std::uint32_t>(nodes_.size());
-            nodes_.push_back(Node{v, low, high});
-            it2->second = idx;
-            return BddRef(idx);
-        }
+    const std::size_t mask = unique_.size() - 1;
+    std::size_t slot = static_cast<std::size_t>(mix(v, low.index(), high.index())) & mask;
+    while (const std::uint32_t idx = unique_[slot]) {
+        const Node& n = nodes_[idx];
+        if (n.var == v && n.low == low && n.high == high) return BddRef(idx);
+        slot = (slot + 1) & mask;
     }
     const auto idx = static_cast<std::uint32_t>(nodes_.size());
     nodes_.push_back(Node{v, low, high});
-    it->second = idx;
+    unique_[slot] = idx;
+    // Internal nodes = nodes_.size() - 2; keep the load at or below 1/2.
+    if ((nodes_.size() - 2) * 2 > unique_.size()) growUnique();
+    if (nodes_.size() > cache_.size() && cache_.size() < kMaxCacheSlots) growCache();
     return BddRef(idx);
+}
+
+void Bdd::growUnique()
+{
+    unique_.assign(unique_.size() * 2, 0u);
+    const std::size_t mask = unique_.size() - 1;
+    for (std::uint32_t idx = 2; idx < nodes_.size(); ++idx) {
+        const Node& n = nodes_[idx];
+        std::size_t slot =
+            static_cast<std::size_t>(mix(n.var, n.low.index(), n.high.index())) & mask;
+        while (unique_[slot] != 0) slot = (slot + 1) & mask;
+        unique_[slot] = idx;
+    }
+}
+
+void Bdd::growCache()
+{
+    std::vector<CacheEntry> old(cache_.size() * 2, CacheEntry{kEmpty, 0, 0, 0});
+    old.swap(cache_);
+    const std::size_t mask = cache_.size() - 1;
+    for (const CacheEntry& e : old) {
+        if (e.f != kEmpty) cache_[static_cast<std::size_t>(mix(e.f, e.g, e.h)) & mask] = e;
+    }
 }
 
 BddRef Bdd::variable(Var v)
@@ -89,11 +100,11 @@ BddRef Bdd::mkIte(BddRef f, BddRef g, BddRef h)
     if (g == h) return g;
     if (g == constTrue() && h == constFalse()) return f;
 
-    const std::uint64_t key = mix(f.index(), g.index(), h.index());
-    auto cached = iteCache_.find(key);
-    if (cached != iteCache_.end() && cached->second[0] == f.index() &&
-        cached->second[1] == g.index() && cached->second[2] == h.index()) {
-        return BddRef(cached->second[3]);
+    const std::size_t slot =
+        static_cast<std::size_t>(mix(f.index(), g.index(), h.index())) & (cache_.size() - 1);
+    if (const CacheEntry& hit = cache_[slot];
+        hit.f == f.index() && hit.g == g.index() && hit.h == h.index()) {
+        return BddRef(hit.result);
     }
 
     const Var v = topVar(f, g, h);
@@ -104,7 +115,9 @@ BddRef Bdd::mkIte(BddRef f, BddRef g, BddRef h)
     const BddRef low = mkIte(branch(f, false), branch(g, false), branch(h, false));
     const BddRef high = mkIte(branch(f, true), branch(g, true), branch(h, true));
     const BddRef result = mkNode(v, low, high);
-    iteCache_[key] = {f.index(), g.index(), h.index(), result.index()};
+    // The recursion may have grown the cache: index it afresh.
+    cache_[static_cast<std::size_t>(mix(f.index(), g.index(), h.index())) &
+           (cache_.size() - 1)] = {f.index(), g.index(), h.index(), result.index()};
     return result;
 }
 

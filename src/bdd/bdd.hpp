@@ -10,13 +10,18 @@
 // Implementation: classic unique-table ROBDD with a fixed variable order
 // (the Var id order), ITE-based apply with a computed table, cofactor,
 // single-variable and set quantification.  Nodes are never freed; a manager
-// is intended to live for one problem.
+// is intended to live for one problem.  Both tables are flat arrays, so a
+// manager of a million nodes is torn down in a few frees:
+//
+//   * the unique table is a power-of-two open-addressing table of node
+//     indices (linear probing, load <= 1/2), like Aig's strash;
+//   * the computed table is direct-mapped as in CUDD: one (f, g, h, result)
+//     entry per slot, a colliding store overwrites, and it grows with the
+//     node pool up to kMaxCacheSlots.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <exception>
-#include <unordered_map>
 #include <vector>
 
 #include "src/base/literal.hpp"
@@ -114,18 +119,28 @@ private:
         BddRef high;  ///< cofactor var=1
     };
 
+    /// One computed-table slot; f == kEmpty marks an unused slot.
+    struct CacheEntry {
+        std::uint32_t f, g, h, result;
+    };
+    static constexpr std::uint32_t kEmpty = static_cast<std::uint32_t>(-1);
+    static constexpr std::size_t kMinCacheSlots = std::size_t{1} << 12;
+    static constexpr std::size_t kMaxCacheSlots = std::size_t{1} << 20;
+
     BddRef mkNode(Var v, BddRef low, BddRef high);
     Var topVar(BddRef f, BddRef g, BddRef h) const;
 
     const Node& node(BddRef f) const { return nodes_[f.index()]; }
 
     void checkLimits();
+    void growUnique();
+    void growCache();
 
     std::vector<Node> nodes_;
-    std::unordered_map<std::uint64_t, std::uint32_t> unique_;
-    /// Lossy computed table: stores (f, g, h, result) and verifies the
-    /// operands on lookup, so hash collisions merely evict.
-    std::unordered_map<std::uint64_t, std::array<std::uint32_t, 4>> iteCache_;
+    /// Open addressing over node indices; 0 (the false terminal, never
+    /// stored) marks an empty slot.
+    std::vector<std::uint32_t> unique_;
+    std::vector<CacheEntry> cache_;
     std::size_t nodeLimit_ = 0;
     Deadline deadline_;
     std::uint32_t limitCheckCounter_ = 0;

@@ -3,29 +3,20 @@
 #include <algorithm>
 #include <cassert>
 
-#include "src/aig/cnf_bridge.hpp"
-#include "src/sat/sat_solver.hpp"
-
 namespace hqs {
 
-SkolemFunction AigSkolemCertificate::toTable(Var y, const std::vector<Var>& deps) const
+std::vector<bool> AigSkolemCertificate::toTable(Var y, const std::vector<Var>& deps) const
 {
     assert(deps.size() <= 20);
-    SkolemFunction fn;
-    fn.var = y;
-    fn.deps = deps;
-    fn.table.assign(1ull << deps.size(), false);
+    std::vector<bool> table(1ull << deps.size(), false);
     const AigEdge f = functions.at(y);
-    std::vector<bool> assignment;
-    for (std::size_t idx = 0; idx < fn.table.size(); ++idx) {
-        assignment.assign(deps.empty() ? 0 : *std::max_element(deps.begin(), deps.end()) + 1,
-                          false);
-        for (std::size_t i = 0; i < deps.size(); ++i) {
-            assignment[deps[i]] = (idx >> i) & 1u;
-        }
-        fn.table[idx] = aig->evaluate(f, assignment);
+    std::vector<bool> assignment(
+        deps.empty() ? 0 : *std::max_element(deps.begin(), deps.end()) + 1, false);
+    for (std::size_t idx = 0; idx < table.size(); ++idx) {
+        for (std::size_t i = 0; i < deps.size(); ++i) assignment[deps[i]] = (idx >> i) & 1u;
+        table[idx] = aig->evaluate(f, assignment);
     }
-    return fn;
+    return table;
 }
 
 AigSkolemCertificate reconstructSkolem(const DqbfFormula& original, std::shared_ptr<Aig> aig,
@@ -94,34 +85,6 @@ AigSkolemCertificate reconstructSkolem(const DqbfFormula& original, std::shared_
         if (!skolem.contains(y)) skolem.emplace(y, mgr.constFalse());
     }
     return cert;
-}
-
-bool verifyAigSkolemCertificate(const DqbfFormula& f, const AigSkolemCertificate& cert,
-                                Deadline deadline)
-{
-    Aig& mgr = *cert.aig;
-
-    Substitution& subst = mgr.scratchSubstitution();
-    for (Var y : f.existentials()) {
-        auto it = cert.functions.find(y);
-        if (it == cert.functions.end()) return false;
-        // Support must lie inside the declared dependency set.
-        for (Var v : mgr.support(it->second)) {
-            if (!f.dependsOn(y, v)) return false;
-        }
-        subst.set(y, it->second);
-    }
-
-    AigEdge matrix = buildFromCnf(mgr, f.matrix());
-    const AigEdge substituted = mgr.substitute(matrix, subst);
-    for (Var v : mgr.support(substituted)) {
-        if (!f.isUniversal(v)) return false; // an existential survived
-    }
-    if (mgr.isConstant(substituted)) return mgr.constantValue(substituted);
-
-    SatSolver sat;
-    AigCnfBridge bridge(mgr, sat);
-    return sat.solve({bridge.litFor(~substituted)}, deadline) == SolveResult::Unsat;
 }
 
 } // namespace hqs

@@ -29,8 +29,8 @@
 #include <vector>
 
 #include "src/aig/aig.hpp"
+#include "src/dqbf/dqbf_formula.hpp"
 #include "src/dqbf/preprocess.hpp"
-#include "src/dqbf/skolem.hpp"
 
 namespace hqs {
 
@@ -75,15 +75,16 @@ private:
     std::vector<Record> records_;
 };
 
-/// A Skolem certificate with functions kept as AIG cones (scales to
-/// dependency sets where explicit tables would explode).
+/// A Skolem certificate with functions kept as AIG cones: the one form
+/// every certifying engine hands to cert::extractCertificate, which turns
+/// it into the artifact cert::checkCertificate judges.
 struct AigSkolemCertificate {
     std::shared_ptr<Aig> aig;
     std::unordered_map<Var, AigEdge> functions; ///< existential -> function
 
-    /// Convert one function to an explicit table (precondition: the
-    /// dependency set is small).
-    SkolemFunction toTable(Var y, const std::vector<Var>& deps) const;
+    /// y's function as an explicit truth table over @p deps: entry idx is
+    /// the value where deps[i] = bit i of idx (precondition: |deps| <= 20).
+    std::vector<bool> toTable(Var y, const std::vector<Var>& deps) const;
 };
 
 /// Replay @p recorder backwards inside @p aig, producing a function for
@@ -92,11 +93,5 @@ struct AigSkolemCertificate {
 AigSkolemCertificate reconstructSkolem(const DqbfFormula& original,
                                        std::shared_ptr<Aig> aig,
                                        const SkolemRecorder& recorder);
-
-/// Verify an AIG certificate: coverage of every existential, support inside
-/// the declared dependency sets, and tautology of the substituted matrix
-/// (SAT check on the negation).
-bool verifyAigSkolemCertificate(const DqbfFormula& f, const AigSkolemCertificate& cert,
-                                Deadline deadline = Deadline::unlimited());
 
 } // namespace hqs

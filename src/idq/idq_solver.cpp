@@ -17,7 +17,7 @@ using Assignment = std::vector<bool>; // indexed by universal position
 SolveResult IdqSolver::solve(const DqbfFormula& f)
 {
     stats_ = IdqStats{};
-    certificate_.reset();
+    skolem_.reset();
     const std::vector<Var>& universals = f.universals();
     const std::size_t n = universals.size();
     std::unordered_map<Var, std::size_t> universalPos;
@@ -78,40 +78,15 @@ SolveResult IdqSolver::solve(const DqbfFormula& f)
 
     // Matrix as an AIG over universal + existential variables, used by the
     // counterexample search.
-    Aig aig;
+    const auto manager = std::make_shared<Aig>();
+    Aig& aig = *manager;
     AigEdge matrixAig = buildFromCnf(aig, f.matrix());
 
-    /// On Sat: turn the final candidate table into an explicit certificate
-    /// (unseen rows keep the default value false, matching the candidate
-    /// the counterexample check just validated).
-    auto buildCertificate = [&]() {
-        SkolemCertificate cert;
-        std::unordered_map<Var, std::size_t> indexOf;
-        auto functionFor = [&](Var y) -> SkolemFunction& {
-            auto [it, inserted] = indexOf.try_emplace(y, cert.functions.size());
-            if (inserted) {
-                SkolemFunction fn;
-                fn.var = y;
-                fn.deps = depsOf(y);
-                fn.table.assign(1ull << fn.deps.size(), false);
-                cert.functions.push_back(std::move(fn));
-            }
-            return cert.functions[it->second];
-        };
-        for (Var y : f.existentials()) functionFor(y);
-        for (Var v = 0; v < f.matrix().numVars(); ++v) {
-            if (f.kindOf(v) == DqbfVarKind::Unquantified) functionFor(v);
-        }
-        for (const auto& [key, satVar] : copyVar) {
-            const auto& [y, tau] = key;
-            SkolemFunction& fn = functionFor(y);
-            std::size_t idx = 0;
-            for (std::size_t i = 0; i < tau.size(); ++i) {
-                if (tau[i]) idx |= 1ull << i;
-            }
-            fn.table[idx] = ground.modelValue(satVar).isTrue();
-        }
-        certificate_ = std::move(cert);
+    /// On Sat: keep the candidate functions the check just validated.
+    auto keepCertificate = [&](const Substitution& skolemOf) {
+        AigSkolemCertificate cert{manager, {}};
+        for (Var y : f.existentials()) cert.functions.emplace(y, skolemOf.image(y));
+        skolem_ = std::move(cert);
     };
 
     std::map<Assignment, bool> seen; // the set A
@@ -152,7 +127,7 @@ SolveResult IdqSolver::solve(const DqbfFormula& f)
         const AigEdge instantiated = aig.substitute(matrixAig, skolemOf);
         const AigEdge cexCondition = ~instantiated;
         if (aig.isConstant(cexCondition) && !aig.constantValue(cexCondition)) {
-            buildCertificate(); // matrix is a tautology under the table
+            keepCertificate(skolemOf); // matrix is a tautology under the table
             return SolveResult::Sat;
         }
 
@@ -162,7 +137,7 @@ SolveResult IdqSolver::solve(const DqbfFormula& f)
         const SolveResult cexRes = cexSat.solve({cexLit}, opts_.deadline);
         if (cexRes == SolveResult::Timeout || cexRes == SolveResult::Memout) return cexRes;
         if (cexRes == SolveResult::Unsat) {
-            buildCertificate();
+            keepCertificate(skolemOf);
             return SolveResult::Sat;
         }
 

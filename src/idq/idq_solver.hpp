@@ -11,7 +11,8 @@
 //     if F_A is UNSAT           -> the DQBF is UNSAT (F_A is implied)
 //     else take the model as a partial Skolem table (unseen entries: 0)
 //       and SAT-search a universal assignment falsifying the matrix under it
-//     if none exists            -> SAT (the table is a Skolem certificate)
+//     if none exists            -> SAT (the table, kept as AIG functions,
+//                                  is the Skolem certificate)
 //     else add the counterexample to A (strictly new, so <= 2^n iterations)
 //
 // Like iDQ it decides some instances with very few (even one) SAT calls and
@@ -20,12 +21,13 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 
 #include "src/base/result.hpp"
 #include "src/base/timer.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
-#include "src/dqbf/skolem.hpp"
+#include "src/dqbf/skolem_recorder.hpp"
 
 namespace hqs {
 
@@ -51,14 +53,15 @@ public:
 
     const IdqStats& stats() const { return stats_; }
 
-    /// After solve() returned Sat: the Skolem certificate induced by the
-    /// final candidate table (validated by the last counterexample check).
-    const std::optional<SkolemCertificate>& certificate() const { return certificate_; }
+    /// After solve() returned Sat: the final candidate table as AIG
+    /// functions (validated by the last counterexample check), one per
+    /// existential, for cert::extractCertificate.
+    const std::optional<AigSkolemCertificate>& skolemCertificate() const { return skolem_; }
 
 private:
     IdqOptions opts_;
     IdqStats stats_;
-    std::optional<SkolemCertificate> certificate_;
+    std::optional<AigSkolemCertificate> skolem_;
 };
 
 } // namespace hqs

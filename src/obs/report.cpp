@@ -4,35 +4,13 @@
 #include <cstdio>
 #include <ostream>
 
+#include "src/obs/json.hpp"
+
 namespace hqs::obs {
 
 // --------------------------------------------------------------------------
 // JsonWriter
 // --------------------------------------------------------------------------
-
-std::string JsonWriter::escape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\t': out += "\\t"; break;
-            case '\r': out += "\\r"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof buf, "\\u%04x", c);
-                    out += buf;
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
 
 void JsonWriter::newlineIndent()
 {
@@ -92,7 +70,7 @@ JsonWriter& JsonWriter::key(const std::string& k)
     if (stack_.back().count > 0) os_ << ',';
     ++stack_.back().count;
     newlineIndent();
-    os_ << '"' << escape(k) << "\": ";
+    os_ << '"' << jsonEscape(k) << "\": ";
     pendingKey_ = true;
     return *this;
 }
@@ -100,7 +78,7 @@ JsonWriter& JsonWriter::key(const std::string& k)
 JsonWriter& JsonWriter::value(const std::string& v)
 {
     beforeValue();
-    os_ << '"' << escape(v) << '"';
+    os_ << '"' << jsonEscape(v) << '"';
     return *this;
 }
 

@@ -37,8 +37,6 @@ public:
     JsonWriter& value(std::uint64_t v) { return value(static_cast<std::int64_t>(v)); }
     JsonWriter& value(bool v);
 
-    static std::string escape(const std::string& s);
-
 private:
     struct Level {
         bool array;

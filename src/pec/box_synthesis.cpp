@@ -16,20 +16,13 @@ Circuit::BoxFunction SynthesizedBoxes::asBoxFunction() const
     };
 }
 
-std::optional<SynthesizedBoxes> boxesFromCertificate(const PecEncoding& enc,
-                                                     const SkolemCertificate& cert)
+SynthesizedBoxes boxesFromSkolem(const PecEncoding& enc, const AigSkolemCertificate& cert)
 {
     SynthesizedBoxes out;
     out.tables.resize(enc.boxOutputVars.size());
     for (std::size_t b = 0; b < enc.boxOutputVars.size(); ++b) {
         for (Var y : enc.boxOutputVars[b]) {
-            const SkolemFunction* fn = cert.functionFor(y);
-            if (fn == nullptr) return std::nullopt;
-            // The box's input copies were allocated in box-input order and
-            // ascending, so the sorted Skolem deps coincide with that order
-            // and the table can be used as-is.
-            if (fn->deps != enc.boxInputCopies[b]) return std::nullopt;
-            out.tables[b].push_back(fn->table);
+            out.tables[b].push_back(cert.toTable(y, enc.boxInputCopies[b]));
         }
     }
     return out;
@@ -38,31 +31,13 @@ std::optional<SynthesizedBoxes> boxesFromCertificate(const PecEncoding& enc,
 std::optional<SynthesizedBoxes> synthesizeBoxes(const PecInstance& inst, Deadline deadline)
 {
     const PecEncoding enc = encodePec(inst);
-    const auto cert = extractSkolemByExpansion(enc.formula, deadline);
-    if (!cert) return std::nullopt;
-    return boxesFromCertificate(enc, *cert);
-}
-
-std::optional<SynthesizedBoxes> synthesizeBoxesWithHqs(const PecInstance& inst,
-                                                       Deadline deadline)
-{
-    const PecEncoding enc = encodePec(inst);
     HqsOptions opts;
     opts.computeSkolem = true;
     opts.deadline = deadline;
     HqsSolver solver(opts);
     DqbfFormula formula = enc.formula;
     if (solver.solve(std::move(formula)) != SolveResult::Sat) return std::nullopt;
-    const AigSkolemCertificate& cert = *solver.skolemCertificate();
-
-    SynthesizedBoxes out;
-    out.tables.resize(enc.boxOutputVars.size());
-    for (std::size_t b = 0; b < enc.boxOutputVars.size(); ++b) {
-        for (Var y : enc.boxOutputVars[b]) {
-            out.tables[b].push_back(cert.toTable(y, enc.boxInputCopies[b]).table);
-        }
-    }
-    return out;
+    return boxesFromSkolem(enc, *solver.skolemCertificate());
 }
 
 bool boxesRealizeSpec(const PecInstance& inst, const SynthesizedBoxes& boxes)

@@ -2,7 +2,7 @@
 //
 // When the PEC DQBF is satisfied, its Skolem functions ARE implementations
 // of the missing black boxes (each box output's function reads exactly the
-// box's input copies).  This module turns a SkolemCertificate back into
+// box's input copies).  This module turns a Skolem certificate back into
 // per-box truth tables and a Circuit::BoxFunction, completing the PEC
 // story: not only "is the design realizable?" but "here are the missing
 // modules".
@@ -10,7 +10,7 @@
 
 #include <optional>
 
-#include "src/dqbf/skolem.hpp"
+#include "src/dqbf/skolem_recorder.hpp"
 #include "src/pec/pec_encoder.hpp"
 
 namespace hqs {
@@ -25,22 +25,16 @@ struct SynthesizedBoxes {
     Circuit::BoxFunction asBoxFunction() const;
 };
 
-/// Extract box implementations from a certificate for @p enc's formula.
-/// Returns std::nullopt when the certificate does not cover the box
-/// outputs (e.g. it belongs to a different encoding).
-std::optional<SynthesizedBoxes> boxesFromCertificate(const PecEncoding& enc,
-                                                     const SkolemCertificate& cert);
+/// Read the box implementations out of a Skolem certificate for @p enc's
+/// formula (any certifying engine's).  The box's input copies were
+/// allocated in box-input order, so each table indexes by Circuit::boxInputs.
+SynthesizedBoxes boxesFromSkolem(const PecEncoding& enc, const AigSkolemCertificate& cert);
 
-/// One-call convenience: encode the PEC instance, decide it by expansion,
-/// and synthesize the boxes.  std::nullopt iff unrealizable (or deadline).
+/// One-call convenience: encode the PEC instance, decide it with HQS
+/// (computeSkolem) and read the boxes from the elimination-trace
+/// certificate.  std::nullopt iff unrealizable (or deadline).
 std::optional<SynthesizedBoxes> synthesizeBoxes(const PecInstance& inst,
                                                 Deadline deadline = Deadline::unlimited());
-
-/// Same, but decide with HQS (computeSkolem) and reconstruct the boxes from
-/// the elimination-trace certificate — scales much further than the
-/// expansion-based extractor.
-std::optional<SynthesizedBoxes> synthesizeBoxesWithHqs(
-    const PecInstance& inst, Deadline deadline = Deadline::unlimited());
 
 /// Exhaustively check (over all primary-input assignments) that the
 /// implementation with the synthesized boxes matches the specification.

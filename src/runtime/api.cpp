@@ -92,17 +92,17 @@ std::vector<RequestError> SolveRequest::validate() const
         errors.push_back({"timeout", "timeout must be >= 0"});
     }
     // Certification needs a Skolem-producing backend: the AIG elimination
-    // trace (hqs) or the CEGAR decision lists.  idq/expand never build
-    // Skolem functions and hqs-bdd replays through a backend that does not
-    // record.
+    // trace (hqs), the CEGAR decision lists or iDQ's final candidate table.
+    // expand never builds Skolem functions and hqs-bdd replays through a
+    // backend that does not record.
     if (certify) {
         if (const auto spec = parsedEngine();
             spec && spec->kind != EngineSpec::Kind::Hqs &&
-            spec->kind != EngineSpec::Kind::Cegar &&
+            spec->kind != EngineSpec::Kind::Cegar && spec->kind != EngineSpec::Kind::Idq &&
             spec->kind != EngineSpec::Kind::Portfolio) {
             errors.push_back({"certify", "certification requires a "
                                          "Skolem-producing engine (hqs, cegar, "
-                                         "or portfolio), not \"" +
+                                         "idq or portfolio), not \"" +
                                              engine + "\""});
         }
     }

@@ -14,6 +14,7 @@
 #include "src/cert/certificate.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/cnf/dimacs.hpp"
+#include "src/obs/json.hpp"
 #include "src/obs/obs.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
 #include "src/runtime/cache_plan.hpp"
@@ -24,83 +25,10 @@
 namespace hqs {
 namespace {
 
-/// Minimal JSON string escaping (quotes, backslashes, control characters).
-void writeJsonString(std::ostream& os, const std::string& s)
+/// Write @p s as a quoted JSON string.
+void writeQuoted(std::ostream& os, const std::string& s)
 {
-    os << '"';
-    for (char c : s) {
-        switch (c) {
-            case '"': os << "\\\""; break;
-            case '\\': os << "\\\\"; break;
-            case '\n': os << "\\n"; break;
-            case '\r': os << "\\r"; break;
-            case '\t': os << "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    const char* hex = "0123456789abcdef";
-                    os << "\\u00" << hex[(c >> 4) & 0xf] << hex[c & 0xf];
-                } else {
-                    os << c;
-                }
-        }
-    }
-    os << '"';
-}
-
-/// Extract the JSON string value following `"key":` in @p line (as written
-/// by writeJsonString).  Returns false when the key is absent or the value
-/// is torn (unterminated — a killed writer mid-line).
-bool readJsonStringField(const std::string& line, const std::string& key, std::string& out)
-{
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t start = line.find(needle);
-    if (start == std::string::npos) return false;
-    out.clear();
-    std::size_t i = start + needle.size();
-    while (i < line.size()) {
-        const char c = line[i];
-        if (c == '"') return true;
-        if (c == '\\') {
-            if (i + 1 >= line.size()) return false;
-            const char esc = line[i + 1];
-            switch (esc) {
-                case '"': out.push_back('"'); break;
-                case '\\': out.push_back('\\'); break;
-                case 'n': out.push_back('\n'); break;
-                case 'r': out.push_back('\r'); break;
-                case 't': out.push_back('\t'); break;
-                case 'u': {
-                    // Only \u00XX is ever produced by writeJsonString.
-                    if (i + 5 >= line.size()) return false;
-                    const std::string hex = line.substr(i + 2, 4);
-                    out.push_back(static_cast<char>(std::stoul(hex, nullptr, 16)));
-                    i += 4;
-                    break;
-                }
-                default: return false;
-            }
-            i += 2;
-        } else {
-            out.push_back(c);
-            ++i;
-        }
-    }
-    return false; // ran off the end inside the string: torn line
-}
-
-/// Extract the JSON number following `"key":` in @p line.  Returns false
-/// when the key is absent or not followed by a number.
-bool readJsonNumberField(const std::string& line, const std::string& key, double& out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t start = line.find(needle);
-    if (start == std::string::npos) return false;
-    const char* begin = line.c_str() + start + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return false;
-    out = v;
-    return true;
+    os << '"' << obs::jsonEscape(s) << '"';
 }
 
 /// Is @p path a circuit-form (DQCIR) instance?  Decided by extension — the
@@ -382,42 +310,42 @@ std::string toJsonlLine(const BatchJobResult& r)
 {
     std::ostringstream os;
     os << "{\"instance\":";
-    writeJsonString(os, r.instance);
+    writeQuoted(os, r.instance);
     os << ",\"result\":";
-    writeJsonString(os, toString(r.result));
+    writeQuoted(os, toString(r.result));
     os << ",\"wall_ms\":" << r.wallMilliseconds;
     os << ",\"engine\":";
-    writeJsonString(os, r.engine);
+    writeQuoted(os, r.engine);
     os << ",\"attempts\":" << r.attempts;
     os << ",\"degraded\":" << (r.degraded ? "true" : "false");
     if (!r.rung.empty()) {
         os << ",\"rung\":";
-        writeJsonString(os, r.rung);
+        writeQuoted(os, r.rung);
     }
     if (!r.dedupOf.empty()) {
         os << ",\"dedup_of\":";
-        writeJsonString(os, r.dedupOf);
+        writeQuoted(os, r.dedupOf);
     }
     if (r.cached) os << ",\"cached\":true";
     if (!r.sessionGroup.empty()) {
         os << ",\"session\":{\"group\":";
-        writeJsonString(os, r.sessionGroup);
+        writeQuoted(os, r.sessionGroup);
         os << ",\"components\":" << r.sessionComponents
            << ",\"reused\":" << r.sessionReused
            << ",\"cone_nodes_saved\":" << r.sessionConeNodesSaved << '}';
     }
     if (r.failure) {
         os << ",\"failure\":{\"kind\":";
-        writeJsonString(os, toString(r.failure.kind));
+        writeQuoted(os, toString(r.failure.kind));
         os << ",\"site\":";
-        writeJsonString(os, r.failure.site);
+        writeQuoted(os, r.failure.site);
         os << ",\"what\":";
-        writeJsonString(os, r.failure.what);
+        writeQuoted(os, r.failure.what);
         os << '}';
     }
     if (!r.error.empty()) {
         os << ",\"error\":";
-        writeJsonString(os, r.error);
+        writeQuoted(os, r.error);
     }
     if (r.metrics.any()) {
         const BatchJobMetrics& m = r.metrics;
@@ -431,21 +359,21 @@ std::string toJsonlLine(const BatchJobResult& r)
         const BatchJobCertificate& c = r.certificate;
         os << ",\"certificate\":{\"valid\":" << (c.valid ? "true" : "false")
            << ",\"status\":";
-        writeJsonString(os, c.status);
+        writeQuoted(os, c.status);
         os << ",\"extract_ms\":" << c.extractMs << ",\"check_ms\":" << c.checkMs
            << ",\"size_nodes\":" << c.sizeNodes << '}';
     }
     if (r.families.any()) {
         os << ",\"families\":{\"winner\":";
-        writeJsonString(os, r.families.winner);
+        writeQuoted(os, r.families.winner);
         os << ",\"raced\":{";
         bool first = true;
         for (const auto& [family, result] : r.families.raced) {
             if (!first) os << ',';
             first = false;
-            writeJsonString(os, family);
+            writeQuoted(os, family);
             os << ':';
-            writeJsonString(os, result);
+            writeQuoted(os, result);
         }
         os << "}}";
     }
@@ -465,61 +393,61 @@ bool readJsonl(const std::string& line, BatchJobResult& out)
 {
     if (line.empty() || line.front() != '{' || line.back() != '}') return false;
     BatchJobResult r;
-    if (!readJsonStringField(line, "instance", r.instance)) return false;
+    if (!obs::jsonStringField(line, "instance", r.instance)) return false;
     std::string resultText;
-    if (!readJsonStringField(line, "result", resultText)) return false;
+    if (!obs::jsonStringField(line, "result", resultText)) return false;
     const std::optional<SolveResult> parsed = solveResultFromString(resultText);
     if (!parsed) return false;
     r.result = *parsed;
-    readJsonStringField(line, "engine", r.engine);      // optional for resume
-    readJsonStringField(line, "rung", r.rung);          // optional
-    readJsonStringField(line, "dedup_of", r.dedupOf);   // optional
+    obs::jsonStringField(line, "engine", r.engine);      // optional for resume
+    obs::jsonStringField(line, "rung", r.rung);          // optional
+    obs::jsonStringField(line, "dedup_of", r.dedupOf);   // optional
     r.cached = line.find("\"cached\":true") != std::string::npos;
     std::string kindText;
-    if (readJsonStringField(line, "kind", kindText)) {
+    if (obs::jsonStringField(line, "kind", kindText)) {
         for (FailureKind k : {FailureKind::ParseError, FailureKind::BadAlloc,
                               FailureKind::RssLimit, FailureKind::InjectedFault,
                               FailureKind::EngineError, FailureKind::Disagreement,
                               FailureKind::Cancelled, FailureKind::ClientGone}) {
             if (kindText == toString(k)) r.failure.kind = k;
         }
-        readJsonStringField(line, "site", r.failure.site);
-        readJsonStringField(line, "what", r.failure.what);
+        obs::jsonStringField(line, "site", r.failure.site);
+        obs::jsonStringField(line, "what", r.failure.what);
     }
-    readJsonStringField(line, "error", r.error);
+    obs::jsonStringField(line, "error", r.error);
     double num = 0;
-    if (readJsonNumberField(line, "wall_ms", num)) r.wallMilliseconds = num;
-    if (readJsonNumberField(line, "preprocess_ms", num)) r.metrics.preprocessMs = num;
-    if (readJsonNumberField(line, "elim_ms", num)) r.metrics.elimMs = num;
-    if (readJsonNumberField(line, "qbf_ms", num)) r.metrics.qbfMs = num;
-    if (readJsonNumberField(line, "fraig_ms", num)) r.metrics.fraigMs = num;
-    if (readJsonNumberField(line, "peak_aig_nodes", num))
+    if (obs::jsonNumberField(line, "wall_ms", num)) r.wallMilliseconds = num;
+    if (obs::jsonNumberField(line, "preprocess_ms", num)) r.metrics.preprocessMs = num;
+    if (obs::jsonNumberField(line, "elim_ms", num)) r.metrics.elimMs = num;
+    if (obs::jsonNumberField(line, "qbf_ms", num)) r.metrics.qbfMs = num;
+    if (obs::jsonNumberField(line, "fraig_ms", num)) r.metrics.fraigMs = num;
+    if (obs::jsonNumberField(line, "peak_aig_nodes", num))
         r.metrics.peakAigNodes = static_cast<std::int64_t>(num);
-    if (readJsonNumberField(line, "eliminations", num))
+    if (obs::jsonNumberField(line, "eliminations", num))
         r.metrics.eliminations = static_cast<std::int64_t>(num);
-    if (readJsonNumberField(line, "copies", num))
+    if (obs::jsonNumberField(line, "copies", num))
         r.metrics.copies = static_cast<std::int64_t>(num);
     if (line.find("\"session\":{") != std::string::npos) {
-        readJsonStringField(line, "group", r.sessionGroup);
-        if (readJsonNumberField(line, "components", num))
+        obs::jsonStringField(line, "group", r.sessionGroup);
+        if (obs::jsonNumberField(line, "components", num))
             r.sessionComponents = static_cast<std::size_t>(num);
-        if (readJsonNumberField(line, "reused", num))
+        if (obs::jsonNumberField(line, "reused", num))
             r.sessionReused = static_cast<std::size_t>(num);
-        if (readJsonNumberField(line, "cone_nodes_saved", num))
+        if (obs::jsonNumberField(line, "cone_nodes_saved", num))
             r.sessionConeNodesSaved = static_cast<std::int64_t>(num);
     }
     if (line.find("\"families\":{") != std::string::npos) {
         // Only the winner survives the round trip; `raced` is reporting
         // detail a resumed run does not need.
-        readJsonStringField(line, "winner", r.families.winner);
+        obs::jsonStringField(line, "winner", r.families.winner);
     }
     if (line.find("\"certificate\":{") != std::string::npos) {
         r.certificate.present = true;
         r.certificate.valid = line.find("\"valid\":true") != std::string::npos;
-        readJsonStringField(line, "status", r.certificate.status);
-        if (readJsonNumberField(line, "extract_ms", num)) r.certificate.extractMs = num;
-        if (readJsonNumberField(line, "check_ms", num)) r.certificate.checkMs = num;
-        if (readJsonNumberField(line, "size_nodes", num))
+        obs::jsonStringField(line, "status", r.certificate.status);
+        if (obs::jsonNumberField(line, "extract_ms", num)) r.certificate.extractMs = num;
+        if (obs::jsonNumberField(line, "check_ms", num)) r.certificate.checkMs = num;
+        if (obs::jsonNumberField(line, "size_nodes", num))
             r.certificate.sizeNodes = static_cast<std::int64_t>(num);
     }
     out = std::move(r);

@@ -176,7 +176,7 @@ struct BatchJobResult {
 };
 
 /// Serialize @p r as one JSONL row, terminating newline included.  The row
-/// is always a single line (writeJsonString escapes embedded newlines), so
+/// is always a single line (obs::jsonEscape escapes embedded newlines), so
 /// emitting it with one write keeps the journal torn-row free: a killed
 /// writer can truncate the *last* row but never interleave two rows, and
 /// concurrent appenders to an O_APPEND fd cannot shear each other's rows.

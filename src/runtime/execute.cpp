@@ -76,6 +76,7 @@ ExecuteOutcome execute(const SolveRequest& request, const DqbfFormula& f,
             opts.groundClauseLimit = request.nodeLimit;
             IdqSolver solver(opts);
             out.result = solver.solve(f);
+            if (request.certify) extractInto(out, solver, f);
             out.stats = solver.stats();
             break;
         }

@@ -29,7 +29,7 @@ struct ExecuteOutcome {
     /// winning racer's name ("" when no racer was definitive).
     std::string engine;
     /// Serialized certificate of a certify + Sat run; "" otherwise and for
-    /// engines that cannot certify (hqs-bdd, idq, expand, a BDD backend).
+    /// engines that cannot certify (hqs-bdd, expand, a BDD backend).
     std::string certificate;
     /// Extraction + serialization time of `certificate` (0 for a portfolio,
     /// whose racers extract).

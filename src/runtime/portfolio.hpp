@@ -91,7 +91,7 @@ struct PortfolioStats {
     std::string winnerName;            ///< empty when no engine was definitive
     std::string winnerFamily;          ///< family of the winner ("" when none)
     /// The winner's serialized certificate (empty when not certifying or the
-    /// winning engine cannot certify).
+    /// winning engine cannot certify: hqs-bdd, expand).
     std::string winnerCertificate;
     double totalMilliseconds = 0.0;
     /// Two racers returned contradictory definitive answers — a solver bug.

@@ -9,6 +9,7 @@
 
 #include "src/base/fault.hpp"
 #include "src/cert/certificate.hpp"
+#include "src/cert/extract.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
 #include "src/dqbf/hqs_solver.hpp"
@@ -413,16 +414,11 @@ std::string Session::buildCertificate(const ParsedQdimacs& effective,
                                       const std::vector<Component>& comps,
                                       const std::vector<const ComponentEntry*>& entries) const
 {
-    // Mirror cert::extractCertificate: the certificate binds to the
-    // normalized effective formula, one function per existential in
-    // declaration order, constFalse for unconstrained ones.
-    const DqbfFormula f = DqbfFormula::fromParsed(effective);
-    cert::Certificate cert;
-    cert.formula = f.toParsed();
-    cert.hash = cert::formulaHash(cert.formula);
-    cert.aig = std::make_shared<Aig>();
-
-    std::unordered_map<Var, AigEdge> merged;
+    // Merge the components' local-numbered functions into one certificate
+    // over the effective formula's numbering; extraction then binds it to
+    // the normalized formula like any single solve's.
+    AigSkolemCertificate merged{std::make_shared<Aig>(), {}};
+    Aig& aig = *merged.aig;
     for (std::size_t i = 0; i < comps.size(); ++i) {
         if (!entries[i]->skolem) return std::string(); // no trace, no artifact
         const AigSkolemCertificate& sk = *entries[i]->skolem;
@@ -430,23 +426,18 @@ std::string Session::buildCertificate(const ParsedQdimacs& effective,
         Substitution toGlobal;
         for (const auto& [localVar, edge] : sk.functions) {
             if (localVar >= localToGlobal.size()) continue; // solver-internal var
-            const AigEdge imported = cert.aig->importCone(*sk.aig, edge);
+            const AigEdge imported = aig.importCone(*sk.aig, edge);
             toGlobal.clear();
-            for (const Var lv : cert.aig->support(imported)) {
+            for (const Var lv : aig.support(imported)) {
                 if (lv >= localToGlobal.size()) return std::string();
-                toGlobal.set(lv, cert.aig->variable(localToGlobal[lv]));
+                toGlobal.set(lv, aig.variable(localToGlobal[lv]));
             }
-            merged[localToGlobal[localVar]] =
-                toGlobal.empty() ? imported : cert.aig->substitute(imported, toGlobal);
+            merged.functions[localToGlobal[localVar]] =
+                toGlobal.empty() ? imported : aig.substitute(imported, toGlobal);
         }
     }
-
-    for (const Var y : f.existentials()) {
-        const auto it = merged.find(y);
-        cert.functions.push_back(it == merged.end() ? cert.aig->constFalse()
-                                                    : it->second);
-    }
-    return cert::toCertificateString(cert);
+    return cert::toCertificateString(
+        cert::extractCertificate(DqbfFormula::fromParsed(effective), merged));
 }
 
 // ---------------------------------------------------------------------------

@@ -209,87 +209,6 @@ std::string httpResponse(int status, std::string_view contentType, std::string_v
 
 // ----------------------------------------------------------------- JSON ---
 
-std::string jsonEscape(const std::string& s)
-{
-    std::string out;
-    out.reserve(s.size() + 2);
-    for (char c : s) {
-        switch (c) {
-            case '"': out += "\\\""; break;
-            case '\\': out += "\\\\"; break;
-            case '\n': out += "\\n"; break;
-            case '\r': out += "\\r"; break;
-            case '\t': out += "\\t"; break;
-            default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    const char* hex = "0123456789abcdef";
-                    out += "\\u00";
-                    out += hex[(c >> 4) & 0xf];
-                    out += hex[c & 0xf];
-                } else {
-                    out += c;
-                }
-        }
-    }
-    return out;
-}
-
-bool jsonStringField(const std::string& obj, const std::string& key, std::string& out)
-{
-    const std::string needle = "\"" + key + "\":\"";
-    const std::size_t start = obj.find(needle);
-    if (start == std::string::npos) return false;
-    out.clear();
-    std::size_t i = start + needle.size();
-    // The value decodes to at most its escaped length.
-    std::size_t close = i;
-    while (close < obj.size() && obj[close] != '"') close += obj[close] == '\\' ? 2 : 1;
-    out.reserve(std::min(close, obj.size()) - i);
-    while (i < obj.size()) {
-        // Copy the run up to the next quote or backslash in one append.
-        std::size_t runEnd = i;
-        while (runEnd < obj.size() && obj[runEnd] != '"' && obj[runEnd] != '\\') ++runEnd;
-        out.append(obj, i, runEnd - i);
-        i = runEnd;
-        if (i == obj.size()) break;
-        if (obj[i] == '"') return true;
-        if (i + 1 >= obj.size()) return false;
-        switch (obj[i + 1]) {
-            case '"': out.push_back('"'); break;
-            case '\\': out.push_back('\\'); break;
-            case 'n': out.push_back('\n'); break;
-            case 'r': out.push_back('\r'); break;
-            case 't': out.push_back('\t'); break;
-            case 'u': {
-                // Only \u00XX is ever produced by jsonEscape.
-                if (i + 5 >= obj.size()) return false;
-                const std::string hex = obj.substr(i + 2, 4);
-                char* end = nullptr;
-                out.push_back(static_cast<char>(std::strtoul(hex.c_str(), &end, 16)));
-                if (end != hex.c_str() + hex.size()) return false;
-                i += 4;
-                break;
-            }
-            default: return false;
-        }
-        i += 2;
-    }
-    return false; // unterminated string
-}
-
-bool jsonNumberField(const std::string& obj, const std::string& key, double& out)
-{
-    const std::string needle = "\"" + key + "\":";
-    const std::size_t start = obj.find(needle);
-    if (start == std::string::npos) return false;
-    const char* begin = obj.c_str() + start + needle.size();
-    char* end = nullptr;
-    const double v = std::strtod(begin, &end);
-    if (end == begin) return false;
-    out = v;
-    return true;
-}
-
 bool jsonBoolField(const std::string& obj, const std::string& key, bool& out)
 {
     const std::string needle = "\"" + key + "\":";

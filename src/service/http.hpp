@@ -17,6 +17,8 @@
 #include <string_view>
 #include <vector>
 
+#include "src/obs/json.hpp"
+
 namespace hqs::service {
 
 struct HttpHeader {
@@ -90,16 +92,10 @@ std::string httpResponse(int status, std::string_view contentType, std::string_v
 
 // ----------------------------------------------------------------- JSON ---
 
-/// JSON string escaping matching the batch journal's writer (quotes,
-/// backslashes, control characters as \u00XX).
-std::string jsonEscape(const std::string& s);
-
-/// Extract the string value following `"key":"` in a single-line JSON
-/// object produced with jsonEscape.  False when absent or unterminated.
-bool jsonStringField(const std::string& obj, const std::string& key, std::string& out);
-
-/// Extract the number following `"key":`.  False when absent or malformed.
-bool jsonNumberField(const std::string& obj, const std::string& key, double& out);
+// The codec is shared with the batch journal and the reports (obs/json.hpp).
+using obs::jsonEscape;
+using obs::jsonNumberField;
+using obs::jsonStringField;
 
 /// Extract the boolean following `"key":`.  False when absent or malformed.
 bool jsonBoolField(const std::string& obj, const std::string& key, bool& out);

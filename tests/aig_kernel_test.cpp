@@ -29,6 +29,7 @@
 #include "src/qbf/aig_qbf_solver.hpp"
 #include "src/qbf/elim_kernel.hpp"
 #include "src/sat/sat_solver.hpp"
+#include "tests/certify.hpp"
 
 namespace hqs {
 namespace {
@@ -940,7 +941,7 @@ TEST(AigKernel, BatchedUnitPureAgreesWithTheOracleAndCertifies)
         if (expected == SolveResult::Sat) {
             ++sat;
             ASSERT_TRUE(solver.skolemCertificate().has_value());
-            EXPECT_TRUE(verifyAigSkolemCertificate(p.f, *solver.skolemCertificate()))
+            EXPECT_TRUE(certifiesThroughProduction(p.f, *solver.skolemCertificate()))
                 << "round " << round;
         }
     }

@@ -3,6 +3,9 @@
 // the QBF oracle.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <optional>
+
 #include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
 #include "src/bdd/bdd.hpp"
@@ -262,6 +265,60 @@ TEST(BddQbfSolver, ResourceLimits)
     BddQbfSolver mem(memOpts);
     const SolveResult r2 = mem.solve(q.matrix, q.prefix);
     EXPECT_TRUE(r2 == SolveResult::Memout || isConclusive(r2));
+}
+
+/// AND_i (x_i | y_i) with every x ordered before every y: 2^n BDD nodes.
+Cnf blowupCnf(Var n)
+{
+    Cnf cnf;
+    cnf.ensureVars(2 * n);
+    for (Var i = 0; i < n; ++i) cnf.addClause({Lit::pos(i), Lit::pos(n + i)});
+    return cnf;
+}
+
+TEST(Bdd, TeardownOfALargeManagerIsCheap)
+{
+    // The tables are flat arrays, so freeing a manager costs a few frees,
+    // not one per node or computed-table entry.
+    const std::size_t nodeLimit = 500000;
+    std::optional<Bdd> bdd(std::in_place);
+    bdd->setResourceLimits(nodeLimit, Deadline::in(60));
+    EXPECT_THROW(bdd->fromCnf(blowupCnf(40)), BddLimitExceeded);
+    EXPECT_GT(bdd->numNodes(), nodeLimit);
+    const Timer timer;
+    bdd.reset();
+    const double ms = timer.elapsedMilliseconds();
+    std::printf("[ teardown ] %.2f ms for %zu nodes\n", ms, nodeLimit);
+    EXPECT_LT(ms, 50.0); // generous: ~1 ms flat, ~140 ms with per-entry frees
+}
+
+TEST(BddQbfSolver, TimeoutReturnsPromptlyIncludingTeardown)
+{
+    // Building the matrix runs into the deadline with a pool of a few
+    // hundred thousand nodes or more, which solve() frees before it returns.
+    const Var n = 40;
+    QbfProblem q;
+    q.matrix = blowupCnf(n);
+    std::vector<Var> xs, ys;
+    for (Var i = 0; i < n; ++i) {
+        xs.push_back(i);
+        ys.push_back(n + i);
+    }
+    q.prefix.addBlock(QuantKind::Forall, xs);
+    q.prefix.addBlock(QuantKind::Exists, ys);
+
+    const double budgetSeconds = 0.3;
+    BddQbfOptions opts;
+    opts.deadline = Deadline::in(budgetSeconds);
+    const Timer timer;
+    const SolveResult r = BddQbfSolver(opts).solve(q.matrix, q.prefix);
+    const double ms = timer.elapsedMilliseconds();
+    EXPECT_EQ(r, SolveResult::Timeout);
+    std::printf("[ overrun  ] %.1f ms over a %.0f ms budget\n", ms - budgetSeconds * 1e3,
+                budgetSeconds * 1e3);
+    // Generous, so that a loaded host does not flake it: a few ms with flat
+    // tables, ~130 ms when every table entry was its own heap node.
+    EXPECT_LT(ms, budgetSeconds * 1e3 + 250.0);
 }
 
 } // namespace

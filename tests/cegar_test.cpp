@@ -23,37 +23,15 @@
 #include "src/base/fault.hpp"
 #include "src/base/rng.hpp"
 #include "src/cegar/cegar_solver.hpp"
-#include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
 #include "src/circuit/dqcir_parser.hpp"
 #include "src/dqbf/dqbf_formula.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
 #include "src/runtime/guard.hpp"
+#include "tests/certify.hpp"
 
 namespace hqs {
 namespace {
-
-/// Production-path verification (same pipeline as `dqbf_solve --certify`
-/// + `dqbf_check`): extract, serialize, re-parse, check independently.
-::testing::AssertionResult certifiesThroughProduction(const DqbfFormula& f,
-                                                      const AigSkolemCertificate& skolem)
-{
-    const std::string text =
-        cert::toCertificateString(cert::extractCertificate(f, skolem));
-    cert::Certificate parsed;
-    std::string detail;
-    const cert::CheckStatus st = cert::parseCertificateString(text, parsed, detail);
-    if (st != cert::CheckStatus::Ok)
-        return ::testing::AssertionFailure()
-               << "parse failed: " << cert::toString(st) << " (" << detail << ")";
-    const cert::CheckResult res = cert::checkCertificate(parsed);
-    if (!res.ok())
-        return ::testing::AssertionFailure()
-               << "check failed: " << cert::toString(res.status) << " (" << res.detail
-               << ")";
-    return ::testing::AssertionSuccess();
-}
 
 DqbfFormula randomDqbf(Rng& rng, unsigned numUniv, unsigned numExist, unsigned numClauses)
 {

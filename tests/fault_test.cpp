@@ -677,6 +677,40 @@ TEST(Journal, TornAndGarbageLinesAreSkippedAndLastEntryWins)
     EXPECT_TRUE(done.contains("b.dqdimacs"));
 }
 
+TEST(Journal, MalformedEscapesAreGarbageLinesNotCrashes)
+{
+    // A \u escape without four hex digits makes a garbage line, which
+    // readJournal skips like a torn one instead of throwing out of
+    // `dqbf_batch --resume`.
+    BatchJobResult ok;
+    ok.instance = "ok.dqdimacs";
+    ok.result = SolveResult::Unsat;
+    std::ostringstream os;
+    os << "{\"instance\":\"x\\uzzzz\",\"result\":\"SAT\"}\n";
+    os << "{\"instance\":\"y\\u00\",\"result\":\"SAT\"}\n";
+    os << "{\"instance\":\"z\\u+01f\",\"result\":\"SAT\"}\n";
+    writeJsonl(ok, os);
+
+    std::istringstream in(os.str());
+    std::vector<BatchJobResult> journal;
+    ASSERT_NO_THROW(journal = readJournal(in));
+    ASSERT_EQ(journal.size(), 1u);
+    EXPECT_EQ(journal[0].instance, "ok.dqdimacs");
+
+    // A control character still round-trips through the \u00XX escape.
+    BatchJobResult ctl;
+    ctl.instance = std::string("bell\x07.dqdimacs");
+    ctl.result = SolveResult::Sat;
+    std::ostringstream one;
+    writeJsonl(ctl, one);
+    EXPECT_NE(one.str().find("bell\\u0007"), std::string::npos) << one.str();
+    std::string line = one.str();
+    line.pop_back();
+    BatchJobResult back;
+    ASSERT_TRUE(readJsonl(line, back));
+    EXPECT_EQ(back.instance, ctl.instance);
+}
+
 TEST(Journal, KilledBatchResumesToTheSameVerdicts)
 {
     // Acceptance scenario: run the batch to completion once, then replay an

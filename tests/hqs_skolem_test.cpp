@@ -5,39 +5,14 @@
 #include <gtest/gtest.h>
 
 #include "src/base/rng.hpp"
-#include "src/cert/certificate.hpp"
-#include "src/cert/extract.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
 #include "src/pec/box_synthesis.hpp"
 #include "src/pec/pec_encoder.hpp"
+#include "tests/certify.hpp"
 
 namespace hqs {
 namespace {
-
-/// Production-path verification: extract the certificate artifact, serialize
-/// it, re-parse, and run the independent checker — the same pipeline that
-/// `dqbf_solve --certify` + `dqbf_check` exercise.  Replaces the old
-/// test-only verifyAigSkolemCertificate route, so every Skolem test is also
-/// an end-to-end certification test.
-::testing::AssertionResult certifiesThroughProduction(const DqbfFormula& f,
-                                                      const AigSkolemCertificate& skolem)
-{
-    const std::string text =
-        cert::toCertificateString(cert::extractCertificate(f, skolem));
-    cert::Certificate parsed;
-    std::string detail;
-    const cert::CheckStatus st = cert::parseCertificateString(text, parsed, detail);
-    if (st != cert::CheckStatus::Ok)
-        return ::testing::AssertionFailure()
-               << "parse failed: " << cert::toString(st) << " (" << detail << ")";
-    const cert::CheckResult res = cert::checkCertificate(parsed);
-    if (!res.ok())
-        return ::testing::AssertionFailure()
-               << "check failed: " << cert::toString(res.status) << " (" << res.detail
-               << ")";
-    return ::testing::AssertionSuccess();
-}
 
 DqbfFormula randomDqbf(Rng& rng, unsigned numUniv, unsigned numExist, unsigned numClauses)
 {
@@ -78,8 +53,7 @@ TEST(HqsSkolem, CopycatCertificateIsIdentity)
     const auto& cert = *solver.skolemCertificate();
     EXPECT_TRUE(certifiesThroughProduction(f, cert));
     // s_y must be the identity on x.
-    const SkolemFunction table = cert.toTable(y, {x});
-    EXPECT_EQ(table.table, (std::vector<bool>{false, true}));
+    EXPECT_EQ(cert.toTable(y, {x}), (std::vector<bool>{false, true}));
 }
 
 TEST(HqsSkolem, NoCertificateOnUnsat)
@@ -173,7 +147,7 @@ TEST_P(HqsSkolemSweep, CertificatesVerifyUnderAllConfigurations)
 INSTANTIATE_TEST_SUITE_P(Sweep, HqsSkolemSweep, ::testing::Range(0, 60));
 
 /// End-to-end: HQS certificates synthesize working black boxes for every
-/// family (this scales further than the expansion-based extractor).
+/// family.
 class HqsSkolemFamilies : public ::testing::TestWithParam<std::tuple<int, unsigned>> {};
 
 TEST_P(HqsSkolemFamilies, CertificatesSynthesizeBoxes)
@@ -195,13 +169,7 @@ TEST_P(HqsSkolemFamilies, CertificatesSynthesizeBoxes)
 
     // Convert the box-output functions to tables and run the completed
     // implementation against the spec.
-    SynthesizedBoxes boxes;
-    boxes.tables.resize(enc.boxOutputVars.size());
-    for (std::size_t b = 0; b < enc.boxOutputVars.size(); ++b) {
-        for (Var y : enc.boxOutputVars[b]) {
-            boxes.tables[b].push_back(cert.toTable(y, enc.boxInputCopies[b]).table);
-        }
-    }
+    const SynthesizedBoxes boxes = boxesFromSkolem(enc, cert);
     if (inst.spec.inputs().size() <= 14) {
         EXPECT_TRUE(boxesRealizeSpec(inst, boxes)) << inst.name;
     }

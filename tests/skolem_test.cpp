@@ -1,13 +1,18 @@
-// Tests for Skolem certificates: extraction by expansion, independent
-// verification, the iDQ solver's certificates, and black-box synthesis for
-// PEC instances.
+// Tests for Skolem certificates outside the HQS trace (hqs_skolem_test.cpp
+// covers that): the one checker judging hand-built certificates, every
+// certifying engine's certificates on random DQBFs, the iDQ solver's
+// certificates, and black-box synthesis for PEC instances.  Every check
+// goes through cert::extractCertificate and the independent checker, the
+// path `dqbf_solve --certify` + `dqbf_check` take.
 #include <gtest/gtest.h>
 
 #include "src/base/rng.hpp"
+#include "src/cegar/cegar_solver.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
-#include "src/dqbf/skolem.hpp"
+#include "src/dqbf/hqs_solver.hpp"
 #include "src/idq/idq_solver.hpp"
 #include "src/pec/box_synthesis.hpp"
+#include "tests/certify.hpp"
 
 namespace hqs {
 namespace {
@@ -35,35 +40,44 @@ DqbfFormula randomDqbf(Rng& rng, unsigned numUniv, unsigned numExist, unsigned n
     return f;
 }
 
-TEST(SkolemFunction, EvaluateIndexesByDependencyOrder)
+/// y == x: the only Skolem function is the identity.
+DqbfFormula copycat(Var& x, Var& y)
 {
-    SkolemFunction fn;
-    fn.var = 9;
-    fn.deps = {2, 5};
-    fn.table = {false, true, false, true}; // equals value of var 2
-    std::vector<bool> assignment(6, false);
-    EXPECT_FALSE(fn.evaluate(assignment));
-    assignment[2] = true;
-    EXPECT_TRUE(fn.evaluate(assignment));
-    assignment[5] = true;
-    EXPECT_TRUE(fn.evaluate(assignment));
-    assignment[2] = false;
-    EXPECT_FALSE(fn.evaluate(assignment));
+    DqbfFormula f;
+    x = f.addUniversal();
+    y = f.addExistential({x});
+    f.matrix().addClause({Lit::neg(x), Lit::pos(y)});
+    f.matrix().addClause({Lit::pos(x), Lit::neg(y)});
+    return f;
+}
+
+/// The checker's verdict on a certificate for @p f.
+cert::CheckStatus checkStatus(const DqbfFormula& f, const AigSkolemCertificate& skolem)
+{
+    return cert::checkCertificateText(
+               cert::toCertificateString(cert::extractCertificate(f, skolem)))
+        .status;
+}
+
+TEST(Skolem, ToTableIndexesByDependencyOrder)
+{
+    AigSkolemCertificate cert{std::make_shared<Aig>(), {}};
+    const Var y = 9;
+    cert.functions.emplace(y, cert.aig->variable(2)); // s_y = value of var 2
+    EXPECT_EQ(cert.toTable(y, {2, 5}), (std::vector<bool>{false, true, false, true}));
+    EXPECT_EQ(cert.toTable(y, {0, 2}), (std::vector<bool>{false, false, true, true}));
+    EXPECT_EQ(cert.toTable(y, {}), (std::vector<bool>{false}));
 }
 
 TEST(Skolem, CopycatCertificateIsIdentity)
 {
-    DqbfFormula f;
-    const Var x = f.addUniversal();
-    const Var y = f.addExistential({x});
-    f.matrix().addClause({Lit::neg(x), Lit::pos(y)});
-    f.matrix().addClause({Lit::pos(x), Lit::neg(y)});
-    const auto cert = extractSkolemByExpansion(f);
-    ASSERT_TRUE(cert.has_value());
-    const SkolemFunction* fn = cert->functionFor(y);
-    ASSERT_NE(fn, nullptr);
-    EXPECT_EQ(fn->table, (std::vector<bool>{false, true})); // s_y(x) = x
-    EXPECT_TRUE(verifySkolemCertificate(f, *cert));
+    Var x = 0, y = 0;
+    const DqbfFormula f = copycat(x, y);
+    IdqSolver solver;
+    ASSERT_EQ(solver.solve(f), SolveResult::Sat);
+    ASSERT_TRUE(solver.skolemCertificate().has_value());
+    EXPECT_TRUE(certifiesThroughProduction(f, *solver.skolemCertificate()));
+    EXPECT_EQ(solver.skolemCertificate()->toTable(y, {x}), (std::vector<bool>{false, true}));
 }
 
 TEST(Skolem, UnsatFormulaYieldsNoCertificate)
@@ -73,27 +87,39 @@ TEST(Skolem, UnsatFormulaYieldsNoCertificate)
     const Var y = f.addExistential({});
     f.matrix().addClause({Lit::neg(x), Lit::pos(y)});
     f.matrix().addClause({Lit::pos(x), Lit::neg(y)});
-    EXPECT_FALSE(extractSkolemByExpansion(f).has_value());
+    IdqSolver idq;
+    EXPECT_EQ(idq.solve(f), SolveResult::Unsat);
+    EXPECT_FALSE(idq.skolemCertificate().has_value());
+    CegarOptions opts;
+    opts.computeSkolem = true;
+    CegarSolver cegar(opts);
+    EXPECT_EQ(cegar.solve(f), SolveResult::Unsat);
+    EXPECT_FALSE(cegar.skolemCertificate().has_value());
 }
 
 TEST(Skolem, VerifierRejectsWrongTables)
 {
-    DqbfFormula f;
-    const Var x = f.addUniversal();
-    const Var y = f.addExistential({x});
-    f.matrix().addClause({Lit::neg(x), Lit::pos(y)});
-    f.matrix().addClause({Lit::pos(x), Lit::neg(y)});
+    Var x = 0, y = 0;
+    const DqbfFormula f = copycat(x, y);
+    const auto aig = std::make_shared<Aig>();
 
-    SkolemCertificate bad;
-    bad.functions.push_back(SkolemFunction{y, {x}, {true, false}}); // s_y = ~x
-    EXPECT_FALSE(verifySkolemCertificate(f, bad));
+    AigSkolemCertificate bad{aig, {{y, ~aig->variable(x)}}}; // s_y = ~x
+    EXPECT_EQ(checkStatus(f, bad), cert::CheckStatus::Refuted);
 
-    SkolemCertificate incomplete; // misses y entirely
-    EXPECT_FALSE(verifySkolemCertificate(f, incomplete));
+    // Extraction fills a missing function with constant false.
+    AigSkolemCertificate incomplete{aig, {}};
+    EXPECT_EQ(checkStatus(f, incomplete), cert::CheckStatus::Refuted);
 
-    SkolemCertificate wrongDeps;
-    wrongDeps.functions.push_back(SkolemFunction{y, {}, {true}});
-    EXPECT_FALSE(verifySkolemCertificate(f, wrongDeps));
+    // s_y = x is the right function, but y may not read x here.
+    DqbfFormula blind;
+    const Var bx = blind.addUniversal();
+    const Var by = blind.addExistential({});
+    blind.matrix().addClause({Lit::neg(bx), Lit::pos(by)});
+    AigSkolemCertificate wrongDeps{aig, {{by, aig->variable(bx)}}};
+    EXPECT_EQ(checkStatus(blind, wrongDeps), cert::CheckStatus::DependencyViolation);
+
+    AigSkolemCertificate good{aig, {{y, aig->variable(x)}}};
+    EXPECT_EQ(checkStatus(f, good), cert::CheckStatus::Ok);
 }
 
 TEST(Skolem, VerifierAcceptsConstantMatrixCertificates)
@@ -102,11 +128,13 @@ TEST(Skolem, VerifierAcceptsConstantMatrixCertificates)
     f.addUniversal();
     const Var y = f.addExistential({});
     // Empty matrix: any function works.
-    SkolemCertificate cert;
-    cert.functions.push_back(SkolemFunction{y, {}, {false}});
-    EXPECT_TRUE(verifySkolemCertificate(f, cert));
+    const auto aig = std::make_shared<Aig>();
+    EXPECT_EQ(checkStatus(f, AigSkolemCertificate{aig, {{y, aig->constFalse()}}}),
+              cert::CheckStatus::Ok);
 }
 
+/// Every certifying engine, on one random formula: a certificate exactly on
+/// SAT, and the checker accepts it.
 class SkolemExtractionSweep : public ::testing::TestWithParam<int> {};
 
 TEST_P(SkolemExtractionSweep, ExtractedCertificatesVerify)
@@ -116,11 +144,23 @@ TEST_P(SkolemExtractionSweep, ExtractedCertificatesVerify)
     const SolveResult expected = expansionDqbf(f);
     ASSERT_TRUE(isConclusive(expected));
 
-    const auto cert = extractSkolemByExpansion(f);
-    EXPECT_EQ(cert.has_value(), expected == SolveResult::Sat);
-    if (cert) {
-        EXPECT_TRUE(verifySkolemCertificate(f, *cert));
-    }
+    auto expectCertified = [&](const char* name, SolveResult r, const auto& solver) {
+        EXPECT_EQ(r, expected) << name;
+        EXPECT_EQ(solver.skolemCertificate().has_value(), expected == SolveResult::Sat) << name;
+        if (solver.skolemCertificate()) {
+            EXPECT_TRUE(certifiesThroughProduction(f, *solver.skolemCertificate())) << name;
+        }
+    };
+    HqsOptions hopts;
+    hopts.computeSkolem = true;
+    HqsSolver hqs(hopts);
+    expectCertified("hqs", hqs.solve(f), hqs);
+    IdqSolver idq;
+    expectCertified("idq", idq.solve(f), idq);
+    CegarOptions copts;
+    copts.computeSkolem = true;
+    CegarSolver cegar(copts);
+    expectCertified("cegar", cegar.solve(f), cegar);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, SkolemExtractionSweep, ::testing::Range(0, 60));
@@ -135,10 +175,10 @@ TEST_P(IdqCertificateSweep, SatAnswersCarryValidCertificates)
     const SolveResult r = solver.solve(f);
     ASSERT_TRUE(isConclusive(r));
     if (r == SolveResult::Sat) {
-        ASSERT_TRUE(solver.certificate().has_value());
-        EXPECT_TRUE(verifySkolemCertificate(f, *solver.certificate()));
+        ASSERT_TRUE(solver.skolemCertificate().has_value());
+        EXPECT_TRUE(certifiesThroughProduction(f, *solver.skolemCertificate()));
     } else {
-        EXPECT_FALSE(solver.certificate().has_value());
+        EXPECT_FALSE(solver.skolemCertificate().has_value());
     }
 }
 
@@ -178,9 +218,6 @@ TEST_P(BoxSynthesisAllFamilies, SynthesizedBoxesRealizeEveryFamily)
 {
     const Family fam = allFamilies()[static_cast<std::size_t>(GetParam())];
     const PecInstance inst = makeInstance(fam, 3, true);
-    if (encodePec(inst).formula.universals().size() > 16) {
-        GTEST_SKIP() << "expansion too large for the extraction oracle";
-    }
     const auto boxes = synthesizeBoxes(inst, Deadline::in(60));
     ASSERT_TRUE(boxes.has_value()) << inst.name;
     EXPECT_TRUE(boxesRealizeSpec(inst, *boxes)) << inst.name;
@@ -197,10 +234,9 @@ TEST(BoxSynthesis, CertificateFromIdqSolverAlsoSynthesizes)
     IdqSolver solver(opts);
     const SolveResult r = solver.solve(enc.formula);
     if (r != SolveResult::Sat) GTEST_SKIP() << "baseline timed out: " << r;
-    ASSERT_TRUE(solver.certificate().has_value());
-    const auto boxes = boxesFromCertificate(enc, *solver.certificate());
-    ASSERT_TRUE(boxes.has_value());
-    EXPECT_TRUE(boxesRealizeSpec(inst, *boxes));
+    ASSERT_TRUE(solver.skolemCertificate().has_value());
+    EXPECT_TRUE(certifiesThroughProduction(enc.formula, *solver.skolemCertificate()));
+    EXPECT_TRUE(boxesRealizeSpec(inst, boxesFromSkolem(enc, *solver.skolemCertificate())));
 }
 
 } // namespace
