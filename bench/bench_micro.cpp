@@ -4,7 +4,8 @@
 // Substitution-based composition, mark-and-compact garbage collection, the
 // Theorem-6 unit/pure traversal and the kernel's batched unit/pure pass,
 // FRAIG sweeping, the CDCL SAT solver, the partial MaxSAT selection, the end-to-end PEC encoding, the request front half
-// (DQDIMACS parse, canonical key, formula hash), and the disarmed cost of
+// (DQDIMACS parse, canonical key, formula hash), CNF preprocessing of three
+// pec_sweep instances, and the disarmed cost of
 // the fault/observability hooks.
 //
 //   bench_micro [--json=FILE] [google-benchmark flags]
@@ -30,6 +31,7 @@
 #include "src/cnf/dimacs.hpp"
 #include "src/dqbf/dependency_graph.hpp"
 #include "src/dqbf/hqs_solver.hpp"
+#include "src/dqbf/preprocess.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
 #include "src/pec/pec_encoder.hpp"
@@ -359,6 +361,22 @@ void BM_FormulaHash(benchmark::State& state)
     }
 }
 BENCHMARK(BM_FormulaHash)->Arg(0)->Arg(1);
+
+/// CNF preprocessing of one pec_sweep instance: the DQDIMACS text is
+/// parsed once; each iteration copies the formula and preprocesses the copy.
+void BM_Preprocess(benchmark::State& state, Family family, unsigned width, bool realizable)
+{
+    const std::string text =
+        toDqdimacsString(encodePec(makeInstance(family, width, realizable)).formula.toParsed());
+    const DqbfFormula parsed = DqbfFormula::fromParsed(parseDqdimacsString(text));
+    for (auto _ : state) {
+        DqbfFormula f = parsed;
+        benchmark::DoNotOptimize(preprocess(f));
+    }
+}
+BENCHMARK_CAPTURE(BM_Preprocess, bitcell_w12_sat, Family::Bitcell, 12u, true);
+BENCHMARK_CAPTURE(BM_Preprocess, comp_w10_sat, Family::Comp, 10u, true);
+BENCHMARK_CAPTURE(BM_Preprocess, c432_w5_unsat, Family::C432, 5u, false);
 
 void BM_FaultCheckpointDisarmed(benchmark::State& state)
 {

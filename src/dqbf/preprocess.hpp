@@ -15,6 +15,12 @@
 //
 // The first three run in alternation until the CNF stops changing; gate
 // detection runs once at the end.
+//
+// The output is deterministic: clause order, gates, prefix, statistics and
+// Skolem records depend only on the input formula and the options, never
+// on hash-table iteration order (equivalence classes are merged in Tarjan
+// component order, gate clauses are looked up by lowest index).
+// When preprocessing decides UNSAT the formula is left unspecified.
 #pragma once
 
 #include <vector>

@@ -1,6 +1,5 @@
 #include "src/obs/json.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 namespace hqs::obs {
@@ -53,10 +52,8 @@ bool jsonStringField(const std::string& obj, const std::string& key, std::string
     if (start == std::string::npos) return false;
     out.clear();
     std::size_t i = start + needle.size();
-    // The value decodes to at most its escaped length.
-    std::size_t close = i;
-    while (close < obj.size() && obj[close] != '"') close += obj[close] == '\\' ? 2 : 1;
-    out.reserve(std::min(close, obj.size()) - i);
+    // The value decodes to at most the rest of the line.
+    out.reserve(obj.size() - i);
     while (i < obj.size()) {
         // Copy the run up to the next quote or backslash in one append.
         std::size_t runEnd = i;

@@ -3,11 +3,14 @@
 // golden-file schema checks for the Chrome trace and the BENCH_*.json
 // reports.
 //
+// The JSON string reader is checked against its former two-pass form.
+//
 // Golden files live in tests/data/golden/.  Run with
 // HQS_UPDATE_GOLDEN=1 in the environment to rewrite them from the current
 // output after an intentional format change.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdlib>
@@ -16,6 +19,8 @@
 #include <stdexcept>
 #include <thread>
 
+#include "src/base/rng.hpp"
+#include "src/obs/json.hpp"
 #include "src/obs/obs.hpp"
 #include "src/obs/report.hpp"
 
@@ -493,6 +498,105 @@ TEST(ObsReport, MetricsJsonRendersHistograms)
                         "    ]\n"
                         "  }\n"
                         "}\n");
+}
+
+// --- JSON string reader --------------------------------------------------------
+
+/// The reader as it was before it decoded in one walk: a first walk sized
+/// the output, a second copied it.  Kept as the reference for the reader.
+bool twoPassStringField(const std::string& obj, const std::string& key, std::string& out)
+{
+    const std::string needle = "\"" + key + "\":\"";
+    const std::size_t start = obj.find(needle);
+    if (start == std::string::npos) return false;
+    out.clear();
+    std::size_t i = start + needle.size();
+    std::size_t close = i;
+    while (close < obj.size() && obj[close] != '"') close += obj[close] == '\\' ? 2 : 1;
+    out.reserve(std::min(close, obj.size()) - i);
+    auto hexValue = [](char c) {
+        if (c >= '0' && c <= '9') return c - '0';
+        if (c >= 'a' && c <= 'f') return c - 'a' + 10;
+        if (c >= 'A' && c <= 'F') return c - 'A' + 10;
+        return -1;
+    };
+    while (i < obj.size()) {
+        std::size_t runEnd = i;
+        while (runEnd < obj.size() && obj[runEnd] != '"' && obj[runEnd] != '\\') ++runEnd;
+        out.append(obj, i, runEnd - i);
+        i = runEnd;
+        if (i == obj.size()) break;
+        if (obj[i] == '"') return true;
+        if (i + 1 >= obj.size()) return false;
+        switch (obj[i + 1]) {
+            case '"': out.push_back('"'); break;
+            case '\\': out.push_back('\\'); break;
+            case 'n': out.push_back('\n'); break;
+            case 'r': out.push_back('\r'); break;
+            case 't': out.push_back('\t'); break;
+            case 'u': {
+                if (i + 5 >= obj.size()) return false;
+                unsigned code = 0;
+                for (std::size_t k = i + 2; k < i + 6; ++k) {
+                    const int digit = hexValue(obj[k]);
+                    if (digit < 0) return false;
+                    code = code * 16 + static_cast<unsigned>(digit);
+                }
+                if (code > 0xff) return false;
+                out.push_back(static_cast<char>(code));
+                i += 4;
+                break;
+            }
+            default: return false;
+        }
+        i += 2;
+    }
+    return false;
+}
+
+void expectSameDecode(const std::string& obj)
+{
+    std::string want = "stale", got = "stale";
+    const bool wantOk = twoPassStringField(obj, "f", want);
+    const bool gotOk = obs::jsonStringField(obj, "f", got);
+    ASSERT_EQ(gotOk, wantOk) << obj;
+    ASSERT_EQ(got, want) << obj;
+}
+
+TEST(Json, StringFieldMatchesTwoPassReaderOnRandomEscapedStrings)
+{
+    Rng rng(29);
+    for (int n = 0; n < 200000; ++n) {
+        std::string value(rng.below(24), '\0');
+        for (char& c : value) c = static_cast<char>(rng.below(256));
+        const std::string obj = "{\"id\":\"x\",\"f\":\"" + obs::jsonEscape(value) + "\",\"g\":1}";
+        expectSameDecode(obj);
+        // The line torn at a random point: unterminated, or a cut escape.
+        expectSameDecode(obj.substr(0, rng.below(obj.size() + 1)));
+        // Unescaped text over escape characters: arbitrary malformed escapes.
+        std::string raw(rng.below(12), '\0');
+        for (char& c : raw) c = "\\\"u0fFz9nrt"[rng.below(11)];
+        expectSameDecode("{\"f\":\"" + raw);
+    }
+}
+
+TEST(Json, StringFieldMatchesTwoPassReaderOnMalformedEscapes)
+{
+    for (const char* obj : {
+             R"({"f":"a\u00zz"})",  // bad hex digit
+             R"({"f":"a\u0g41"})",  // bad hex digit, upper position
+             R"({"f":"a\u0100"})",  // above \u00ff
+             R"({"f":"a\uffff"})",  // far above \u00ff
+             R"({"f":"a\u00ff"})",  // the largest byte
+             R"({"f":"a\u00)",      // truncated \u
+             R"({"f":"a\x41"})",    // unknown escape
+             R"({"f":"abc\)",       // escape at the end of the line
+             R"({"f":"abc)",        // unterminated
+             R"({"f":"")",          // empty, then nothing
+             R"({"f":"\\\""})",   // escaped backslash, escaped quote
+         }) {
+        expectSameDecode(obj);
+    }
 }
 
 } // namespace
