@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) for the substrates: AIG construction,
 // cofactoring, the elimination rebuild and its dependent-cone counts (on
 // cones whose size is the argument), the dense strash hit path,
-// Substitution-based composition, mark-and-compact garbage collection, the
-// Theorem-6 unit/pure traversal and the kernel's batched unit/pure pass,
-// FRAIG sweeping, the CDCL SAT solver, the partial MaxSAT selection, the end-to-end PEC encoding, the request front half
+// Substitution-based composition, mark-and-compact garbage collection (from
+// a fresh manager and in the kernel's steady state), the Theorem-6 unit/pure
+// traversal (also over a pool of garbage) and the kernel's batched unit/pure
+// pass, FRAIG sweeping, the CDCL SAT solver, the partial MaxSAT selection, the end-to-end PEC encoding, the request front half
 // (DQDIMACS parse, canonical key, formula hash), CNF preprocessing of three
 // pec_sweep instances, and the disarmed cost of
 // the fault/observability hooks.
@@ -206,6 +207,31 @@ void BM_GcMarkCompact(benchmark::State& state)
 }
 BENCHMARK(BM_GcMarkCompact)->Arg(1000)->Arg(10000)->Arg(100000);
 
+void BM_GarbageCollect(benchmark::State& state)
+{
+    // The elimination kernel's collection in its steady state: one manager
+    // whose pool holds a live cone and the garbage of one cofactor pair of
+    // it, about what the kernel collects at, so the collection reuses its
+    // buffers from the previous iteration.
+    Aig aig;
+    AigEdge root = chainCone(aig, 32, static_cast<unsigned>(state.range(0)), 43);
+    aig.garbageCollect({&root});
+    UnitPureInfo scan;
+    std::size_t pool = 0;
+    for (auto _ : state) {
+        state.PauseTiming();
+        aig.detectUnitPure(root, scan);
+        benchmark::DoNotOptimize(aig.cofactorPair(root, 5, scan.cone, Deadline::unlimited()));
+        pool = aig.numNodes();
+        state.ResumeTiming();
+        aig.garbageCollect({&root});
+    }
+    state.counters["cone"] = static_cast<double>(scan.coneSize);
+    state.counters["pool"] = static_cast<double>(pool);
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(pool));
+}
+BENCHMARK(BM_GarbageCollect)->Arg(1000)->Arg(10000)->Arg(100000);
+
 void BM_UnitPureDetection(benchmark::State& state)
 {
     // The paper reports the Theorem-6 traversal at O(|phi| + |V|) and < 4%
@@ -219,6 +245,41 @@ void BM_UnitPureDetection(benchmark::State& state)
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_UnitPureDetection)->Arg(1000)->Arg(10000)->Arg(100000);
+
+void BM_UnitPureDetectionOverGarbage(benchmark::State& state)
+{
+    // The same traversal of a fixed cone of about 1 000 ANDs with arg dead
+    // nodes allocated after each cone gate, i.e. below the root: the scan
+    // skips garbage, so the time should not grow with the arg.
+    const auto dead = static_cast<unsigned>(state.range(0));
+    Aig aig;
+    Rng rng(47);
+    Rng junkRng(53); // the cone is the same whatever the arg
+    std::vector<AigEdge> pool;
+    for (Var v = 0; v < 32; ++v) pool.push_back(aig.variable(v));
+    std::vector<AigEdge> junk;
+    for (Var v = 32; v < 64; ++v) junk.push_back(aig.variable(v));
+    for (unsigned i = 0; i < 600; ++i) {
+        const AigEdge a = pool.back() ^ rng.flip();
+        const AigEdge b = pool[rng.below(pool.size())] ^ rng.flip();
+        pool.push_back(rng.below(3) == 0 ? aig.mkXor(a, b) : aig.mkAnd(a, b));
+        for (unsigned d = 0; d < dead; ++d) {
+            const AigEdge x = junk[junkRng.below(junk.size())] ^ junkRng.flip();
+            const AigEdge y = junk[junkRng.below(junk.size())] ^ junkRng.flip();
+            junk.push_back(aig.mkAnd(x, y));
+        }
+    }
+    const AigEdge root = pool.back();
+    UnitPureInfo info;
+    for (auto _ : state) {
+        aig.detectUnitPure(root, info);
+        benchmark::DoNotOptimize(info.cone.data());
+    }
+    state.counters["cone"] = static_cast<double>(info.coneSize);
+    state.counters["pool"] = static_cast<double>(aig.numNodes());
+    state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(info.coneSize));
+}
+BENCHMARK(BM_UnitPureDetectionOverGarbage)->Arg(0)->Arg(10)->Arg(50);
 
 void BM_UnitPureBatch(benchmark::State& state)
 {

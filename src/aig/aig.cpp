@@ -222,13 +222,27 @@ void Aig::strashInsertNew(std::uint32_t idx)
     strash_[slot] = idx + 1;
 }
 
+void Aig::strashPop(std::uint32_t idx)
+{
+    const Node& n = nodes_[idx];
+    const std::size_t mask = strash_.size() - 1;
+    std::size_t slot =
+        static_cast<std::size_t>(strashHash(n.fanin0.code(), n.fanin1.code())) & mask;
+    while (strash_[slot] != idx + 1) slot = (slot + 1) & mask;
+    strash_[slot] = 0;
+}
+
+void Aig::strashRebuild(std::size_t size)
+{
+    strash_.assign(size, 0u);
+    for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx) {
+        if (nodes_[idx].extVar == kNoVar) strashInsertNew(idx);
+    }
+}
+
 void Aig::strashGrow()
 {
-    std::vector<std::uint32_t> old = std::move(strash_);
-    strash_.assign(old.size() * 2, 0u);
-    for (const std::uint32_t entry : old) {
-        if (entry != 0) strashInsertNew(entry - 1);
-    }
+    strashRebuild(strash_.size() * 2);
     ++stats_.strashResizes;
 }
 
@@ -378,61 +392,58 @@ void Aig::garbageCollect(std::vector<AigEdge*> roots, std::vector<std::uint32_t>
     const std::size_t oldSize = nodes_.size();
     stats_.peakAllocatedNodes = std::max<std::uint64_t>(stats_.peakAllocatedNodes, oldSize);
 
-    // Mark reachable nodes.
-    std::vector<bool> reachable(oldSize, false);
-    reachable[0] = true;
-    std::vector<std::uint32_t> stack;
-    for (AigEdge* r : roots) stack.push_back(r->nodeIndex());
-    while (!stack.empty()) {
-        const std::uint32_t idx = stack.back();
-        stack.pop_back();
-        if (reachable[idx]) continue;
-        reachable[idx] = true;
+    // Mark the reachable nodes in the traversal cache; a marked node's slot
+    // later holds its new index.
+    trav_.reset(oldSize);
+    trav_.set(0, 0);
+    stack_.clear();
+    for (AigEdge* r : roots) stack_.push_back(r->nodeIndex());
+    while (!stack_.empty()) {
+        const std::uint32_t idx = stack_.back();
+        stack_.pop_back();
+        if (trav_.has(idx)) continue;
+        trav_.set(idx, 0);
         const Node& n = nodes_[idx];
-        if (n.extVar == kNoVar && idx != 0) {
-            stack.push_back(n.fanin0.nodeIndex());
-            stack.push_back(n.fanin1.nodeIndex());
+        if (n.extVar == kNoVar) {
+            stack_.push_back(n.fanin0.nodeIndex());
+            stack_.push_back(n.fanin1.nodeIndex());
         }
     }
 
-    // Compact the node pool in index order (fanins always precede fanouts).
-    std::vector<std::uint32_t> remap(oldSize, 0);
-    std::vector<Node> newNodes;
-    newNodes.reserve(oldSize);
-    std::unordered_map<Var, std::uint32_t> newInputs;
+    // Compact in place in index order: fanins precede fanouts, and a node
+    // only moves down, so every fanin is remapped before it is read.
+    const auto remap = [this](std::uint32_t idx) {
+        return static_cast<std::uint32_t>(trav_.slot[idx]);
+    };
+    std::uint32_t live = 1;
     std::size_t liveAnds = 0;
-    for (std::uint32_t idx = 0; idx < oldSize; ++idx) {
-        if (!reachable[idx]) continue;
-        const Node& n = nodes_[idx];
-        const auto newIdx = static_cast<std::uint32_t>(newNodes.size());
-        remap[idx] = newIdx;
-        Node m = n;
-        if (idx != 0 && n.extVar == kNoVar) {
-            m.fanin0 = AigEdge(remap[n.fanin0.nodeIndex()], n.fanin0.complemented());
-            m.fanin1 = AigEdge(remap[n.fanin1.nodeIndex()], n.fanin1.complemented());
-            ++liveAnds;
-        } else if (n.extVar != kNoVar) {
-            newInputs.emplace(n.extVar, newIdx);
+    for (std::uint32_t idx = 1; idx < oldSize; ++idx) {
+        Node n = nodes_[idx];
+        if (!trav_.has(idx)) {
+            if (n.extVar != kNoVar) inputOfVar_.erase(n.extVar);
+            continue;
         }
-        newNodes.push_back(m);
+        trav_.slot[idx] = live;
+        if (n.extVar == kNoVar) {
+            n.fanin0 = AigEdge(remap(n.fanin0.nodeIndex()), n.fanin0.complemented());
+            n.fanin1 = AigEdge(remap(n.fanin1.nodeIndex()), n.fanin1.complemented());
+            ++liveAnds;
+        } else {
+            inputOfVar_[n.extVar] = live;
+        }
+        nodes_[live++] = n;
     }
-    nodes_ = std::move(newNodes);
-    inputOfVar_ = std::move(newInputs);
+    nodes_.resize(live);
 
-    // Rehash the strash over the surviving AND nodes at <= 0.5 load.
-    strash_.assign(nextPow2(liveAnds * 2 + 1, kStrashInitialSize), 0u);
+    // Size the strash for the pool allowed before the next collection.
+    strashRebuild(nextPow2(4 * liveAnds + 2048, kStrashInitialSize));
     strashCount_ = liveAnds;
-    for (std::uint32_t idx = 1; idx < nodes_.size(); ++idx) {
-        if (nodes_[idx].extVar == kNoVar) strashInsertNew(idx);
-    }
 
-    for (AigEdge* r : roots) {
-        *r = AigEdge(remap[r->nodeIndex()], r->complemented());
-    }
+    for (AigEdge* r : roots) *r = AigEdge(remap(r->nodeIndex()), r->complemented());
     if (nodeList) {
         for (std::uint32_t& idx : *nodeList) {
-            assert(reachable[idx]);
-            idx = remap[idx];
+            assert(trav_.has(idx));
+            idx = remap(idx);
         }
     }
 
@@ -440,6 +451,27 @@ void Aig::garbageCollect(std::vector<AigEdge*> roots, std::vector<std::uint32_t>
     stats_.gcReclaimedNodes += oldSize - nodes_.size();
     stats_.peakLiveNodes = std::max<std::uint64_t>(stats_.peakLiveNodes, nodes_.size());
     publishKernelStats();
+}
+
+void Aig::releaseSince(std::size_t mark)
+{
+    assert(mark >= 1);
+    // The strash is always the table that inserting the AND nodes in index
+    // order builds: mkAnd inserts each new node, the highest index, and
+    // growth and collection rehash in index order.  The entries at or above
+    // the mark are the newest, so emptying their slots restores the table
+    // as it was at the mark: no older entry's chain runs through them, and
+    // none has to move up.
+    for (std::size_t idx = nodes_.size(); idx-- > mark;) {
+        const Node& n = nodes_[idx];
+        if (n.extVar != kNoVar) {
+            inputOfVar_.erase(n.extVar);
+        } else {
+            strashPop(static_cast<std::uint32_t>(idx));
+            --strashCount_;
+        }
+    }
+    if (mark < nodes_.size()) nodes_.resize(mark);
 }
 
 void Aig::publishKernelStats()

@@ -36,8 +36,27 @@
 //     cofactors a fresh (variable, constant) pair, so entries would never
 //     repeat within a solve;
 //   * garbageCollect is a mark-and-compact pass: callers register their
-//     live roots, dead cones are reclaimed, the strash is rehashed, and
-//     the registered AigEdge handles are rewired through a remap table.
+//     live roots, dead cones are reclaimed, and the registered AigEdge
+//     handles are rewired through a remap table.  It marks in the
+//     traversal cache, compacts nodes_ in place and reuses the DFS stack,
+//     so a collection allocates nothing and costs the live cone plus one
+//     sequential sweep of the pool.  The elimination kernel collects as
+//     soon as the garbage outgrows the live cone (ElimKernel::
+//     collectIfBloated), so the pool stays within about twice the cone;
+//   * after a collection the strash is sized for the pool allowed before
+//     the next one (nextPow2(4 * live ANDs + 2048), under 0.7 load up to
+//     twice the live set), so it neither shrinks and regrows nor keeps a
+//     stale high-water size.  Growth and collection rehash from nodes_ in
+//     index order (every AND node is in the table): sequential reads;
+//   * the Theorem-6 scan keeps a bitmap of marked, unvisited nodes and
+//     jumps between its set bits, so it costs O(cone + pool/64) instead of
+//     a test of every pool index below the root;
+//   * releaseSince(mark) drops the nodes allocated since mark and empties
+//     their strash slots.  Since the strash always holds the table that
+//     inserting every AND node in index order builds, this restores the
+//     table as it was at the mark exactly, with no entry to shift back.
+//     The QBF backend's order trial hands its losing build back this way
+//     instead of leaving it as garbage.
 //
 // On top of the core the manager provides the operations HQS needs:
 // cofactor/compose/parallel substitution and the elimination rebuild with
@@ -294,19 +313,23 @@ public:
     // ----- unit/pure detection (unit_pure.cpp) -----------------------------
     /// Syntactic unit/pure classification of Theorem 6, with the cone size,
     /// per-variable occurrence counts and the cone list, in one
-    /// O(cone + vars) walk.
+    /// O(cone + vars + pool/64) walk.
     UnitPureInfo detectUnitPure(AigEdge root) const;
     /// The same walk into @p out, whose vectors keep their capacity.
     void detectUnitPure(AigEdge root, UnitPureInfo& out) const;
 
     // ----- garbage collection ----------------------------------------------
-    /// Drop every node not reachable from @p roots, rebuilding the node
-    /// pool and rehashing the strash.  The edges in @p roots are updated in
-    /// place, and so are the node indices in @p nodeList (each must be
-    /// reachable from @p roots).  Compaction keeps relative index order, so
-    /// a sorted list stays sorted.
+    /// Drop every node not reachable from @p roots, compacting the node
+    /// pool in place and rehashing the strash.  The edges in @p roots are
+    /// updated in place, and so are the node indices in @p nodeList (each
+    /// must be reachable from @p roots).  Compaction keeps relative index
+    /// order, so a sorted list stays sorted.
     void garbageCollect(std::vector<AigEdge*> roots,
                         std::vector<std::uint32_t>* nodeList = nullptr);
+    /// Drop every node with index >= @p mark (a numNodes() taken earlier)
+    /// and delete their strash entries.  Nodes below @p mark keep their
+    /// indices; no edge to a dropped node may be used afterwards.
+    void releaseSince(std::size_t mark);
 
     // ----- instrumentation --------------------------------------------------
     const AigKernelStats& kernelStats() const { return stats_; }
@@ -368,7 +391,13 @@ private:
 
     // strash helpers (aig.cpp)
     void strashGrow();
+    /// Resize the strash to @p size slots and insert every AND node, in
+    /// index order.
+    void strashRebuild(std::size_t size);
     void strashInsertNew(std::uint32_t idx); ///< insert without duplicate check
+    /// Empty the slot of AND node @p idx, one of the newest entries (see
+    /// releaseSince).
+    void strashPop(std::uint32_t idx);
     static std::uint64_t strashHash(std::uint32_t aCode, std::uint32_t bCode);
 
     // One node of every cone rebuild: AND node @p idx with @p img0 and
@@ -388,12 +417,16 @@ private:
 
     mutable TraversalCache trav_;
     mutable std::vector<std::uint32_t> stack_; ///< reused DFS stack (same non-reentrancy rule)
+    /// The Theorem-6 scan's marked-and-unvisited bitmap, one bit per node
+    /// (same non-reentrancy rule).
+    mutable std::vector<std::uint64_t> scanBits_;
     Substitution scratchSub_;
 
     AigKernelStats stats_;
     AigKernelStats published_; ///< stats_ snapshot at the last obs publish
 
     friend class AigCnfBridge;
+    friend struct AigInspector; ///< tests: read-only access to the strash
 };
 
 std::ostream& operator<<(std::ostream& os, AigEdge e);

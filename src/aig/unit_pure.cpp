@@ -16,9 +16,15 @@
 // nodes that read it as a fanin, and lists the cone's nodes in the order it
 // visits them, so callers that need the cone size, the support or a
 // topological order of the cone (Aig::cofactorPair) do not walk it again.
-// Cost: O(|phi| + |V|), as stated in the paper.  The per-node flags live
-// as bits in the manager's generation-stamped TraversalCache.
+// The per-node flags live as bits in the manager's TraversalCache slots.
+// A bitmap holds the nodes that have flags and are not visited yet; the
+// sweep jumps from one set bit to the next lower one, so it never tests a
+// pool index outside the cone.  Cost: O(|phi| + |V|) for the cone and its
+// variables, as stated in the paper, plus one word per 64 pool indices
+// below the root to clear and skip the bitmap.
 #include "src/aig/aig.hpp"
+
+#include <bit>
 
 namespace hqs {
 
@@ -47,6 +53,17 @@ void Aig::detectUnitPure(AigEdge root, UnitPureInfo& info) const
 
     const std::uint32_t rootIdx = root.nodeIndex();
     trav_.reset(nodes_.size());
+    std::vector<std::uint64_t>& flags = trav_.slot;
+    scanBits_.assign(rootIdx / 64 + 1, 0);
+    // A node's flags are valid while its bit is set: the first parent to
+    // reach it writes them, later parents OR into them, and its bit is
+    // cleared only once every parent (all at higher indices) is done.
+    auto reach = [&](std::uint32_t idx, std::uint64_t bits) {
+        std::uint64_t& word = scanBits_[idx / 64];
+        const std::uint64_t bit = std::uint64_t{1} << (idx % 64);
+        flags[idx] = (word & bit) ? flags[idx] | bits : bits;
+        word |= bit;
+    };
     auto occurs = [&info](Var v) {
         if (v >= info.occurrences.size()) info.occurrences.resize(v + 1, 0);
         ++info.occurrences[v];
@@ -57,39 +74,44 @@ void Aig::detectUnitPure(AigEdge root, UnitPureInfo& info) const
         std::uint64_t bits = kReachOdd;
         // phi = ~v: assigning v = 1 falsifies phi, so v is negative unit.
         if (nodes_[rootIdx].extVar != kNoVar) bits |= kNegUnit;
-        trav_.set(rootIdx, bits);
+        reach(rootIdx, bits);
     } else {
-        trav_.set(rootIdx, kReachEven | kClean);
+        reach(rootIdx, kReachEven | kClean);
     }
 
-    for (std::uint32_t idx = rootIdx; idx > 0; --idx) {
-        if (!trav_.has(idx)) continue; // outside the cone
-        const std::uint64_t bits = trav_.get(idx);
-        if ((bits & (kReachEven | kReachOdd)) == 0) continue;
-        info.cone.push_back(idx);
-        const Node& n = nodes_[idx];
-        if (n.extVar != kNoVar) {
-            const Var v = n.extVar;
-            if (bits & kClean) info.posUnit.push_back(v);
-            if (bits & kNegUnit) info.negUnit.push_back(v);
-            if ((bits & kReachEven) && !(bits & kReachOdd)) info.posPure.push_back(v);
-            if ((bits & kReachOdd) && !(bits & kReachEven)) info.negPure.push_back(v);
-            continue;
-        }
-        ++info.coneSize;
-        for (const AigEdge f : {n.fanin0, n.fanin1}) {
-            const std::uint32_t child = f.nodeIndex();
-            if (child == 0) continue; // constant
-            if (nodes_[child].extVar != kNoVar) occurs(nodes_[child].extVar);
-            std::uint64_t childBits = 0;
-            if (f.complemented()) {
-                if (bits & kReachEven) childBits |= kReachOdd;
-                if (bits & kReachOdd) childBits |= kReachEven;
-                if ((bits & kClean) && nodes_[child].extVar != kNoVar) childBits |= kNegUnit;
-            } else {
-                childBits |= bits & (kReachEven | kReachOdd | kClean);
+    // Descending over the set bits: the highest set bit of the current
+    // word is the next cone node; visiting it sets only lower bits.
+    for (std::size_t w = scanBits_.size(); w-- > 0;) {
+        while (const std::uint64_t word = scanBits_[w]) {
+            const int top = 63 - std::countl_zero(word);
+            scanBits_[w] = word & ~(std::uint64_t{1} << top);
+            const auto idx = static_cast<std::uint32_t>(w * 64 + static_cast<std::size_t>(top));
+            const std::uint64_t bits = flags[idx];
+            info.cone.push_back(idx);
+            const Node& n = nodes_[idx];
+            if (n.extVar != kNoVar) {
+                const Var v = n.extVar;
+                if (bits & kClean) info.posUnit.push_back(v);
+                if (bits & kNegUnit) info.negUnit.push_back(v);
+                if ((bits & kReachEven) && !(bits & kReachOdd)) info.posPure.push_back(v);
+                if ((bits & kReachOdd) && !(bits & kReachEven)) info.negPure.push_back(v);
+                continue;
             }
-            if (childBits != 0) trav_.orBits(child, childBits);
+            ++info.coneSize;
+            for (const AigEdge f : {n.fanin0, n.fanin1}) {
+                const std::uint32_t child = f.nodeIndex();
+                if (child == 0) continue; // constant
+                if (nodes_[child].extVar != kNoVar) occurs(nodes_[child].extVar);
+                std::uint64_t childBits = 0;
+                if (f.complemented()) {
+                    if (bits & kReachEven) childBits |= kReachOdd;
+                    if (bits & kReachOdd) childBits |= kReachEven;
+                    if ((bits & kClean) && nodes_[child].extVar != kNoVar) childBits |= kNegUnit;
+                } else {
+                    childBits |= bits & (kReachEven | kReachOdd | kClean);
+                }
+                reach(child, childBits);
+            }
         }
     }
 }

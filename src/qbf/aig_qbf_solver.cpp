@@ -88,6 +88,7 @@ SolveResult AigQbfSolver::solve(Aig& aig, AigEdge root, QbfPrefix prefix)
                 return r;
             const std::size_t coneA = aig.coneSize(kept.matrix);
             const std::size_t untouched = scan.coneSize - dependents[b];
+            const std::size_t mark = aig.numNodes();
             BuiltElimination trial;
             if (SolveResult r = kernel.build(candidates[b], kind, trial,
                                              coneA > untouched ? coneA - untouched : 0);
@@ -101,7 +102,10 @@ SolveResult AigQbfSolver::solve(Aig& aig, AigEdge root, QbfPrefix prefix)
             }
             const bool bWins = trial.built() && aig.coneSize(trial.matrix) < coneA;
             measure = bWins ? Measure::DependentCone : Measure::Occurrences;
+            // B was built last, so everything from the mark on is B's
+            // alone; a winning B may share A's nodes, which stay garbage.
             if (bWins) kept = trial;
+            else aig.releaseSince(mark);
         } else {
             const Var pick = candidates[measure == Measure::DependentCone ? b : a];
             if (SolveResult r = kernel.build(pick, kind, kept); r != SolveResult::Unknown) return r;

@@ -18,8 +18,10 @@
 // on its cofactor pass: B's untouched nodes (cone − dep(B)) stay shared,
 // so once B has allocated more than cone(A) − (cone − dep(B)) new nodes it
 // is not expected to come out smaller, and the pass stops.  The smaller
-// result is committed and its measure orders the rest of the block; the
-// loser's nodes are garbage.  Only the committed elimination reaches the
+// result is committed and its measure orders the rest of the block.  A
+// losing B was built last and is released at once (Aig::releaseSince); a
+// losing A may share nodes with B and is garbage for the next collection.
+// Only the committed elimination reaches the
 // Skolem recorder (one Exists record per eliminated existential) and the
 // qbf.elim.* counters; qbf.order.trials and qbf.order.capped count the
 // trials and the capped B builds.

@@ -18,10 +18,21 @@ PrefixOps prefixOps(QbfPrefix& prefix)
             [&prefix](Var v) { prefix.removeVar(v); }};
 }
 
+ElimKernel::~ElimKernel()
+{
+    // Exclusive kernel phases: a scan that a build or a collection needs
+    // runs before its timer starts.
+    OBS_COUNT("phase.elim.scan.us", static_cast<std::int64_t>(scanNs_ / 1000));
+    OBS_COUNT("phase.elim.build.us", static_cast<std::int64_t>(buildNs_ / 1000));
+    OBS_COUNT("phase.elim.gc.us", static_cast<std::int64_t>(gcNs_ / 1000));
+}
+
 const UnitPureInfo& ElimKernel::scan()
 {
     if (!scanCurrent()) {
+        const std::uint64_t start = obs::detail::nowNs();
         aig_.detectUnitPure(matrix_, scan_);
+        scanNs_ += obs::detail::nowNs() - start;
         scanEdge_ = matrix_;
         scanGcRun_ = aig_.kernelStats().gcRuns;
         ++stats_.scans;
@@ -45,16 +56,20 @@ void ElimKernel::collectGarbage()
     const bool rekey = scanCurrent();
     std::vector<AigEdge*> roots{&matrix_};
     if (recorder_) recorder_->appendGcRoots(roots);
+    const std::uint64_t start = obs::detail::nowNs();
     aig_.garbageCollect(std::move(roots), rekey ? &scan_.cone : nullptr);
+    gcNs_ += obs::detail::nowNs() - start;
     if (rekey) {
         scanEdge_ = matrix_;
         scanGcRun_ = aig_.kernelStats().gcRuns;
     }
+    retained_ = aig_.numNodes() - scan().cone.size();
 }
 
 void ElimKernel::collectIfBloated()
 {
-    if (aig_.numNodes() > 4 * scan().coneSize + 20000) collectGarbage();
+    const std::size_t cone = scan().cone.size();
+    if (aig_.numNodes() > 2 * cone + retained_ + kCollectSlack) collectGarbage();
 }
 
 std::size_t ElimKernel::sweep(bool overBudget)
@@ -70,7 +85,7 @@ std::size_t ElimKernel::sweep(bool overBudget)
         if (lastFraigSize_ <= limits_.nodeLimit) OBS_COUNT("fraig.rescued", 1);
     }
     // The sweep strands the entire pre-sweep cone as garbage.
-    if (aig_.numNodes() > 2 * lastFraigSize_ + 1000) collectGarbage();
+    collectIfBloated();
     return lastFraigSize_;
 }
 
@@ -155,16 +170,19 @@ SolveResult ElimKernel::build(Var v, QuantKind kind, BuiltElimination& out, std:
     // Both cofactors in one pass over the cone list the scan recorded.  One
     // pass over a large cone can take longer than the whole budget, so it
     // polls the deadline itself.
+    const std::vector<std::uint32_t>& cone = scan().cone;
+    const std::uint64_t start = obs::detail::nowNs();
     const std::size_t before = aig_.numNodes();
-    const auto [lo, hi] =
-        aig_.cofactorPair(matrix_, v, scan().cone, limits_.deadline, renameHigh, cap);
-    if (!lo.isValid()) {
-        // Only a capped stop leaves more than cap new nodes behind.
-        if (aig_.numNodes() - before > cap) return SolveResult::Unknown;
+    const auto [lo, hi] = aig_.cofactorPair(matrix_, v, cone, limits_.deadline, renameHigh, cap);
+    if (lo.isValid()) {
+        out.matrix = kind == QuantKind::Exists ? aig_.mkOr(lo, hi) : aig_.mkAnd(lo, hi);
+        out.high = hi;
+    }
+    buildNs_ += obs::detail::nowNs() - start;
+    // Only a capped stop leaves more than cap new nodes behind.
+    if (!lo.isValid() && aig_.numNodes() - before <= cap) {
         return deadlineExceededResult(limits_.deadline);
     }
-    out.matrix = kind == QuantKind::Exists ? aig_.mkOr(lo, hi) : aig_.mkAnd(lo, hi);
-    out.high = hi;
     return SolveResult::Unknown;
 }
 

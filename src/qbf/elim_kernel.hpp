@@ -1,8 +1,10 @@
 // The elimination kernel shared by the HQS main loop (Fig. 3) and the AIG
 // QBF backend it hands the linearized AIG to.  It owns the matrix edge in
 // the caller's Aig manager (a GC root), the optional Skolem recorder, the
-// limits and the FRAIG trigger; the caller's prefix (DQBF or linear QBF)
-// reaches it through PrefixOps.
+// limits, the FRAIG trigger and the collection rule; the caller's prefix
+// (DQBF or linear QBF) reaches it through PrefixOps.  It times its scans,
+// cofactor-pair builds and collections and publishes them once, when it is
+// destroyed, as the exclusive phase.elim.{scan,build,gc}.us counters.
 #pragma once
 
 #include <cstddef>
@@ -76,6 +78,14 @@ public:
         : aig_(aig), matrix_(matrix), limits_(limits), recorder_(recorder), stats_(stats)
     {
     }
+    ElimKernel(const ElimKernel&) = delete;
+    ElimKernel& operator=(const ElimKernel&) = delete;
+    /// Publishes the phase.elim.{scan,build,gc}.us counters.
+    ~ElimKernel();
+
+    /// The garbage a pool may hold beyond one live cone before
+    /// collectIfBloated collects.
+    static constexpr std::size_t kCollectSlack = 512;
 
     AigEdge& matrix() { return matrix_; }
     bool isConstant() const { return aig_.isConstant(matrix_); }
@@ -99,7 +109,12 @@ public:
     /// Between eliminations: peak, deadline, FRAIG, node budget, GC.
     /// Unknown to continue, else the final resource-limit result.
     SolveResult housekeeping();
-    /// Each cofactor leaves O(cone) garbage; collect when it dominates.
+    /// Each cofactor leaves O(cone) garbage; collect once the garbage
+    /// outgrows the live cone, i.e. when the pool holds more than
+    /// 2 * cone + retained + kCollectSlack nodes, where cone counts the
+    /// matrix cone's nodes (scan().cone) and retained the nodes the last
+    /// collection kept outside it (the constant, the recorder's cofactors).
+    /// Every kernel pass then costs the cone, not the pool.
     void collectIfBloated();
 
     /// Theorem 5 on Theorem-6 detections to a fixpoint, each detection
@@ -115,7 +130,7 @@ public:
     /// (Aig::cofactorPair) and @p out comes back unbuilt.  Unknown when
     /// built or capped; the deadline result when the deadline expires
     /// inside the rebuild.  A losing build is garbage for the next
-    /// collection.
+    /// collection, unless the caller releases it (Aig::releaseSince).
     SolveResult build(Var v, QuantKind kind, BuiltElimination& out,
                       std::size_t cap = Aig::kNoCap, const Substitution* renameHigh = nullptr);
     /// Apply @p e, built from the current matrix: the matrix becomes
@@ -151,6 +166,12 @@ private:
     SkolemRecorder* recorder_;
     ElimStats& stats_;
     std::size_t lastFraigSize_ = 0; ///< cone size after the last sweep
+    /// Nodes the last collection kept outside the matrix cone.
+    std::size_t retained_ = 1;
+    /// Wall time in scans, cofactor-pair builds and collections (ns).
+    std::uint64_t scanNs_ = 0;
+    std::uint64_t buildNs_ = 0;
+    std::uint64_t gcNs_ = 0;
     UnitPureInfo scan_;
     AigEdge scanEdge_;            ///< matrix scan_ describes (invalid: none)
     std::uint64_t scanGcRun_ = 0; ///< kernelStats().gcRuns when scanned

@@ -1,16 +1,19 @@
 // Differential and invariant tests for the rebuilt AIG kernel: the dense
 // open-addressing strash, the generation-stamped traversal cache, the one
 // cone rebuild behind cofactor/compose/substitute, mark-compact garbage
-// collection, cross-manager importCone, and the live-node budget semantics
-// built on top of them, and the elimination kernel the HQS main loop and
-// the AIG QBF backend share (its cached matrix scan and batched unit/pure
-// pass).
+// collection, releaseSince, cross-manager importCone, and the live-node
+// budget semantics built on top of them, and the elimination kernel the HQS
+// main loop and the AIG QBF backend share (its cached matrix scan, batched
+// unit/pure pass, collection rule and phase counters).  The bitmap
+// Theorem-6 scan is checked against the per-index sweep it replaced.
 // Substitute/cofactor results are checked two ways: point-wise against
 // semantic evaluation over every assignment, and via SAT equivalence
 // through the CNF bridge.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -22,16 +25,64 @@
 #include "src/aig/aig.hpp"
 #include "src/aig/cnf_bridge.hpp"
 #include "src/base/rng.hpp"
+#include "src/circuit/families.hpp"
 #include "src/dqbf/dqbf_oracle.hpp"
 #include "src/dqbf/hqs_solver.hpp"
 #include "src/dqbf/skolem_recorder.hpp"
 #include "src/obs/obs.hpp"
+#include "src/pec/pec_encoder.hpp"
 #include "src/qbf/aig_qbf_solver.hpp"
 #include "src/qbf/elim_kernel.hpp"
+#include "src/qbf/qbf_oracle.hpp"
 #include "src/sat/sat_solver.hpp"
 #include "tests/certify.hpp"
 
 namespace hqs {
+
+/// Read-only checks of the strash (a friend of Aig).
+struct AigInspector {
+    /// The strash holds every AND node of the pool exactly once, each one
+    /// reachable by linear probing from its home slot; it names no index at
+    /// or above numNodes() and no input, and stays under 0.7 load.
+    static ::testing::AssertionResult strashExact(const Aig& aig)
+    {
+        const std::vector<std::uint32_t>& table = aig.strash_;
+        const std::size_t mask = table.size() - 1;
+        std::vector<std::uint8_t> seen(aig.nodes_.size(), 0);
+        std::size_t entries = 0;
+        for (std::size_t slot = 0; slot < table.size(); ++slot) {
+            if (table[slot] == 0) continue;
+            const std::uint32_t idx = table[slot] - 1;
+            if (idx >= aig.nodes_.size())
+                return ::testing::AssertionFailure()
+                       << "slot " << slot << " names node " << idx << " of "
+                       << aig.nodes_.size();
+            const Aig::Node& n = aig.nodes_[idx];
+            if (idx == 0 || n.extVar != kNoVar)
+                return ::testing::AssertionFailure() << "slot " << slot << " names non-AND " << idx;
+            if (seen[idx]++)
+                return ::testing::AssertionFailure() << "node " << idx << " listed twice";
+            ++entries;
+            for (std::size_t p = Aig::strashHash(n.fanin0.code(), n.fanin1.code()) & mask;
+                 p != slot; p = (p + 1) & mask) {
+                if (table[p] == 0)
+                    return ::testing::AssertionFailure()
+                           << "node " << idx << " in slot " << slot << " is cut off at " << p;
+            }
+        }
+        for (std::size_t idx = 1; idx < aig.nodes_.size(); ++idx) {
+            if (aig.nodes_[idx].extVar == kNoVar && !seen[idx])
+                return ::testing::AssertionFailure() << "AND node " << idx << " missing";
+        }
+        if (entries != aig.strashCount_)
+            return ::testing::AssertionFailure()
+                   << entries << " entries, count says " << aig.strashCount_;
+        if (entries * 10 >= table.size() * 7)
+            return ::testing::AssertionFailure() << entries << " entries in " << table.size();
+        return ::testing::AssertionSuccess();
+    }
+};
+
 namespace {
 
 constexpr Var kVars = 6; // 64 assignments: exhaustive checks stay cheap
@@ -1482,6 +1533,330 @@ TEST(AigKernel, EliminationAbandonedAtTheDeadlineLeavesTheMatrixUnchanged)
     renaming.set(2, aig.variable(5001));
     EXPECT_EQ(kernel.eliminateForall(0, &renaming), SolveResult::Timeout);
     EXPECT_EQ(kernel.matrix(), f);
+}
+
+// ------------------------------------------- pool bounded by the cone -----
+//
+// The kernel keeps the node pool in proportion to the live cone: it collects
+// once the garbage outgrows the cone, the strash is sized for that, the
+// Theorem-6 scan skips garbage through a bitmap, and the backend's order
+// trial hands a losing build back at once (releaseSince).
+
+/// The Theorem-6 scan as it was before the bitmap: it tests every pool
+/// index below the root.  The reference the bitmap sweep must match field
+/// for field.
+UnitPureInfo referenceUnitPure(const Aig& aig, AigEdge root)
+{
+    constexpr std::uint64_t kReachEven = 1;
+    constexpr std::uint64_t kReachOdd = 2;
+    constexpr std::uint64_t kClean = 4;
+    constexpr std::uint64_t kNegUnit = 8;
+    UnitPureInfo info;
+    if (aig.isConstant(root)) return info;
+    const std::uint32_t rootIdx = root.nodeIndex();
+    std::vector<bool> stamped(rootIdx + 1, false);
+    std::vector<std::uint64_t> slot(rootIdx + 1, 0);
+    auto set = [&](std::uint32_t idx, std::uint64_t bits) {
+        stamped[idx] = true;
+        slot[idx] = bits;
+    };
+    auto orBits = [&](std::uint32_t idx, std::uint64_t bits) {
+        if (stamped[idx]) slot[idx] |= bits;
+        else set(idx, bits);
+    };
+    auto occurs = [&info](Var v) {
+        if (v >= info.occurrences.size()) info.occurrences.resize(v + 1, 0);
+        ++info.occurrences[v];
+    };
+    const bool rootInput = aig.isInput(AigEdge(rootIdx, false));
+    if (rootInput) occurs(aig.inputVariable(AigEdge(rootIdx, false)));
+    if (root.complemented()) {
+        set(rootIdx, kReachOdd | (rootInput ? kNegUnit : 0));
+    } else {
+        set(rootIdx, kReachEven | kClean);
+    }
+    for (std::uint32_t idx = rootIdx; idx > 0; --idx) {
+        if (!stamped[idx]) continue;
+        const std::uint64_t bits = slot[idx];
+        if ((bits & (kReachEven | kReachOdd)) == 0) continue;
+        info.cone.push_back(idx);
+        const AigEdge node(idx, false);
+        if (aig.isInput(node)) {
+            const Var v = aig.inputVariable(node);
+            if (bits & kClean) info.posUnit.push_back(v);
+            if (bits & kNegUnit) info.negUnit.push_back(v);
+            if ((bits & kReachEven) && !(bits & kReachOdd)) info.posPure.push_back(v);
+            if ((bits & kReachOdd) && !(bits & kReachEven)) info.negPure.push_back(v);
+            continue;
+        }
+        ++info.coneSize;
+        for (const AigEdge f : {aig.fanin0(node), aig.fanin1(node)}) {
+            const std::uint32_t child = f.nodeIndex();
+            if (child == 0) continue;
+            const bool input = aig.isInput(AigEdge(child, false));
+            if (input) occurs(aig.inputVariable(AigEdge(child, false)));
+            std::uint64_t childBits = 0;
+            if (f.complemented()) {
+                if (bits & kReachEven) childBits |= kReachOdd;
+                if (bits & kReachOdd) childBits |= kReachEven;
+                if ((bits & kClean) && input) childBits |= kNegUnit;
+            } else {
+                childBits |= bits & (kReachEven | kReachOdd | kClean);
+            }
+            if (childBits != 0) orBits(child, childBits);
+        }
+    }
+    return info;
+}
+
+/// A random cone over kVars variables whose nodes are interleaved with
+/// garbage: after each cone gate, up to @p maxGarbage dead nodes over other
+/// variables and, now and then, over cone nodes (dead fanouts).  The root
+/// is a random gate (so live nodes also lie above it in the pool) with a
+/// random complement bit.
+AigEdge coneAmongGarbage(Aig& aig, Rng& rng, std::size_t gates, std::size_t maxGarbage)
+{
+    std::vector<AigEdge> pool;
+    for (Var v = 0; v < kVars; ++v) pool.push_back(aig.variable(v));
+    std::vector<AigEdge> junk;
+    for (Var v = kVars; v < kVars + 6; ++v) junk.push_back(aig.variable(v));
+    for (std::size_t i = 0; i < gates; ++i) {
+        const AigEdge a = pool[rng.below(pool.size())] ^ rng.flip();
+        const AigEdge b = pool[rng.below(pool.size())] ^ rng.flip();
+        pool.push_back(rng.flip() ? aig.mkAnd(a, b) : aig.mkXor(a, b));
+        const std::size_t dead = rng.below(maxGarbage + 1);
+        for (std::size_t d = 0; d < dead; ++d) {
+            const AigEdge x = junk[rng.below(junk.size())] ^ rng.flip();
+            const AigEdge y = rng.below(4) == 0 ? pool[rng.below(pool.size())] ^ rng.flip()
+                                                : junk[rng.below(junk.size())] ^ rng.flip();
+            junk.push_back(aig.mkAnd(x, y));
+        }
+    }
+    return pool[kVars + rng.below(gates)] ^ rng.flip();
+}
+
+void expectSameScan(const UnitPureInfo& got, const UnitPureInfo& want, const std::string& what)
+{
+    EXPECT_EQ(got.posUnit, want.posUnit) << what;
+    EXPECT_EQ(got.negUnit, want.negUnit) << what;
+    EXPECT_EQ(got.posPure, want.posPure) << what;
+    EXPECT_EQ(got.negPure, want.negPure) << what;
+    EXPECT_EQ(got.coneSize, want.coneSize) << what;
+    EXPECT_EQ(got.occurrences, want.occurrences) << what;
+    EXPECT_EQ(got.cone, want.cone) << what;
+}
+
+TEST(UnitPure, BitmapScanMatchesReferenceSweep)
+{
+    UnitPureInfo reused; // the in-place overload must clear every field
+    std::size_t coneNodes = 0;
+    for (std::uint64_t seed = 0; seed < 240; ++seed) {
+        Aig aig;
+        Rng rng(seed * 7919 + 3);
+        const std::size_t gates = 1 + rng.below(seed % 4 == 0 ? 400 : 60);
+        const AigEdge cone = coneAmongGarbage(aig, rng, gates, seed % 3 == 0 ? 0 : 1 + seed % 40);
+        std::vector<AigEdge> roots{cone, ~cone, aig.constTrue(), aig.constFalse()};
+        const AigEdge input = aig.variable(static_cast<Var>(rng.below(kVars + 6)));
+        roots.push_back(input);
+        roots.push_back(~input);
+        for (const AigEdge root : roots) {
+            const std::string what = "seed " + std::to_string(seed) + " root " +
+                                     (root.complemented() ? "~" : "") +
+                                     std::to_string(root.nodeIndex());
+            const UnitPureInfo want = referenceUnitPure(aig, root);
+            expectSameScan(aig.detectUnitPure(root), want, what);
+            aig.detectUnitPure(root, reused);
+            expectSameScan(reused, want, what + " (in place)");
+            coneNodes += want.cone.size();
+        }
+    }
+    EXPECT_GT(coneNodes, 4000u);
+}
+
+TEST(AigKernel, StrashStaysExactThroughGrowthGcAndRelease)
+{
+    for (std::uint64_t seed = 1; seed <= 60; ++seed) {
+        Aig aig;
+        Rng rng(seed * 104729 + 11);
+        AigEdge keep = randomCone(aig, rng, 50 + rng.below(500));
+        ASSERT_TRUE(AigInspector::strashExact(aig)) << "seed " << seed << " after growth";
+        if (seed % 2 == 0) {
+            randomCone(aig, rng, rng.below(2000)); // garbage
+            aig.garbageCollect({&keep});
+            ASSERT_TRUE(AigInspector::strashExact(aig)) << "seed " << seed << " after GC";
+        }
+        const std::uint64_t tt = truthTable(aig, keep);
+
+        // A tail of new gates over the kept nodes and a fresh input, long
+        // enough now and then to grow the strash, then handed back.
+        const std::size_t mark = aig.numNodes();
+        std::vector<AigEdge> pool{keep, aig.variable(kVars), aig.variable(0)};
+        const std::size_t tail = 1 + rng.below(seed % 5 == 0 ? 3000 : 300);
+        for (std::size_t i = 0; i < tail; ++i) {
+            const AigEdge a = pool[rng.below(pool.size())] ^ rng.flip();
+            const AigEdge b = pool[rng.below(pool.size())] ^ rng.flip();
+            pool.push_back(rng.flip() ? aig.mkAnd(a, b) : aig.mkXor(a, b));
+        }
+        // The first released AND whose fanins both survive.
+        AigEdge again0;
+        AigEdge again1;
+        for (std::uint32_t idx = static_cast<std::uint32_t>(mark); idx < aig.numNodes(); ++idx) {
+            const AigEdge e(idx, false);
+            if (aig.isAnd(e) && aig.fanin0(e).nodeIndex() < mark &&
+                aig.fanin1(e).nodeIndex() < mark) {
+                again0 = aig.fanin0(e);
+                again1 = aig.fanin1(e);
+                break;
+            }
+        }
+        aig.releaseSince(mark);
+        const std::string what = "seed " + std::to_string(seed);
+        ASSERT_EQ(aig.numNodes(), mark) << what;
+        EXPECT_FALSE(aig.hasVariable(kVars)) << what;
+        ASSERT_TRUE(AigInspector::strashExact(aig)) << what << " after release";
+        EXPECT_EQ(truthTable(aig, keep), tt) << what;
+
+        // Every surviving AND is found on its own fanins without allocating.
+        const std::uint64_t ands = aig.kernelStats().ands;
+        for (std::uint32_t idx = 1; idx < mark; ++idx) {
+            const AigEdge e(idx, false);
+            if (aig.isAnd(e)) {
+                ASSERT_EQ(aig.mkAnd(aig.fanin0(e), aig.fanin1(e)), e) << what;
+            }
+        }
+        EXPECT_EQ(aig.kernelStats().ands, ands) << what;
+
+        // A released pair is built afresh, at the first free index.
+        if (again0.isValid()) {
+            const AigEdge rebuilt = aig.mkAnd(again0, again1);
+            EXPECT_EQ(rebuilt, AigEdge(static_cast<std::uint32_t>(mark), false)) << what;
+            EXPECT_EQ(aig.kernelStats().ands, ands + 1) << what;
+            EXPECT_TRUE(AigInspector::strashExact(aig)) << what << " after rebuild";
+        }
+    }
+}
+
+TEST(AigKernel, LosingTrialBuildsAreReleasedAndTheStrashStaysExact)
+{
+    // One existential block, so the first elimination is a trial; with a
+    // recorder the kept cofactors are GC roots as well.
+    std::size_t trials = 0;
+    for (std::uint64_t seed = 0; seed < 120; ++seed) {
+        Rng rng(seed * 2087 + 1);
+        QbfProblem q;
+        const Var n = 8 + static_cast<Var>(rng.below(6));
+        q.matrix.ensureVars(n);
+        for (std::size_t c = 0; c < 3 * n; ++c) {
+            Clause cl;
+            for (int j = 0; j < 3; ++j) cl.push(Lit(static_cast<Var>(rng.below(n)), rng.flip()));
+            q.matrix.addClause(std::move(cl));
+        }
+        std::vector<Var> vars;
+        for (Var v = 0; v < n; ++v) vars.push_back(v);
+        q.prefix.addBlock(QuantKind::Exists, vars);
+
+        Aig aig;
+        const AigEdge matrix = buildFromCnf(aig, q.matrix);
+        SkolemRecorder recorder;
+        AigQbfOptions opts;
+        opts.unitPure = seed % 2 == 0;
+        opts.recorder = &recorder;
+        AigQbfSolver solver(opts);
+        const SolveResult r = solver.solve(aig, matrix, q.prefix);
+        EXPECT_EQ(r, bruteForceQbf(q) ? SolveResult::Sat : SolveResult::Unsat) << "seed " << seed;
+        EXPECT_TRUE(AigInspector::strashExact(aig)) << "seed " << seed;
+        trials += solver.stats().orderTrials;
+    }
+    EXPECT_GT(trials, 30u);
+}
+
+TEST(AigKernel, CollectIfBloatedKeepsThePoolWithinTwiceTheCone)
+{
+    Aig aig;
+    Rng rng(61);
+    const AigEdge root = wideCone(aig, rng, 0, 12, 600);
+    QbfPrefix prefix;
+    std::vector<Var> vars;
+    for (Var v = 0; v < 12; ++v) vars.push_back(v);
+    prefix.addBlock(QuantKind::Exists, vars);
+    ElimStats stats;
+    ElimLimits limits;
+    limits.unitPure = false;
+    ElimKernel kernel(aig, root, limits, nullptr, stats);
+    // Without a recorder the last collection kept only the constant
+    // outside the cone.
+    const auto bound = [&kernel] {
+        return 2 * kernel.scan().cone.size() + 1 + ElimKernel::kCollectSlack;
+    };
+
+    // Garbage up to the bound is tolerated; one node more is collected.
+    kernel.collectIfBloated();
+    const std::size_t cone = kernel.scan().cone.size();
+    ASSERT_LE(aig.numNodes(), bound());
+    for (Var v = 1000; aig.numNodes() < bound(); ++v) aig.variable(v);
+    kernel.collectIfBloated();
+    EXPECT_EQ(aig.kernelStats().gcRuns, 0u);
+    aig.variable(999);
+    kernel.collectIfBloated();
+    EXPECT_EQ(aig.kernelStats().gcRuns, 1u);
+    EXPECT_EQ(aig.numNodes(), cone + 1);
+
+    // Each elimination leaves O(cone) garbage; the rule never lets the pool
+    // pass the bound, and the function is kept.
+    for (Var v : vars) {
+        ASSERT_EQ(kernel.eliminateExists(v), SolveResult::Unknown);
+        kernel.collectIfBloated();
+        ASSERT_LE(aig.numNodes(), bound()) << "after var " << v;
+        if (kernel.isConstant()) break;
+    }
+    EXPECT_GT(aig.kernelStats().gcRuns, 1u);
+}
+
+TEST(AigKernel, RecorderRootsDoNotMakeEveryCheckCollect)
+{
+    // The recorder's cofactors stay live outside the matrix cone; they are
+    // not garbage, so a check right after a collection must not collect
+    // again however large they are.
+    Aig aig;
+    Rng rng(67);
+    const AigEdge root = wideCone(aig, rng, 0, 14, 800);
+    SkolemRecorder recorder;
+    ElimStats stats;
+    ElimLimits limits;
+    limits.unitPure = false;
+    ElimKernel kernel(aig, root, limits, &recorder, stats);
+    for (Var v = 0; v < 14 && !kernel.isConstant(); ++v) {
+        ASSERT_EQ(kernel.eliminateExists(v), SolveResult::Unknown);
+        const std::uint64_t before = aig.kernelStats().gcRuns;
+        kernel.collectIfBloated();
+        const std::uint64_t after = aig.kernelStats().gcRuns;
+        kernel.collectIfBloated();
+        EXPECT_EQ(aig.kernelStats().gcRuns, after) << "var " << v;
+        EXPECT_LE(after, before + 1);
+    }
+    EXPECT_GT(aig.kernelStats().gcRuns, 0u);
+}
+
+TEST(AigKernel, KernelPhasesAppearAndStayWithinTheSolve)
+{
+    const char* phases[] = {"phase.elim.scan.us", "phase.elim.build.us", "phase.elim.gc.us"};
+    obs::MetricScope scope;
+    HqsSolver solver;
+    const std::uint64_t start = obs::detail::nowNs();
+    solver.solve(encodePec(makeInstance(Family::Bitcell, 8, true)).formula);
+    const auto solveUs = static_cast<std::int64_t>((obs::detail::nowNs() - start) / 1000);
+    ASSERT_TRUE(solver.stats().usedQbfBackend);
+    std::map<std::string, std::int64_t> values;
+    for (const obs::MetricValue& m : scope.snapshot(false)) values[m.name] = m.value;
+    std::int64_t sum = 0;
+    for (const char* name : phases) {
+        ASSERT_TRUE(values.contains(name)) << name;
+        EXPECT_GE(values[name], 0) << name;
+        sum += values[name];
+    }
+    EXPECT_GT(values["phase.elim.scan.us"], 0);
+    EXPECT_GT(values["phase.elim.build.us"], 0);
+    EXPECT_LE(sum, solveUs);
 }
 
 } // namespace
